@@ -14,11 +14,20 @@
  * The dense window grows lazily to the highest page actually touched
  * (rounded up to a power of two), so memory tracks the workload
  * footprint, not the configured limit.
+ *
+ * DensePageChain builds on that map as the one store for per-page
+ * policy state: a slot arena whose slots carry a key, a payload and
+ * links for one or more lists threaded through shared arrays.  Every
+ * eviction policy keeps its recency chains, clock rings and per-page
+ * metadata there, and HPE's page-set chain keeps its three partitions
+ * as three lists of one arena.
  */
 
 #pragma once
 
+#include <array>
 #include <cstdint>
+#include <deque>
 #include <unordered_map>
 #include <unordered_set>
 #include <vector>
@@ -303,156 +312,205 @@ class DenseRegionCounter
     std::unordered_map<PageId, std::uint32_t> overflow_;
 };
 
+/** Handle to one slot of a DensePageChain. */
+using ChainSlot = std::uint32_t;
+
+/** No slot: the end of a list, or the slot of an untracked key. */
+inline constexpr ChainSlot kNoSlot = UINT32_MAX;
+
+/** Payload of a chain whose slots carry nothing but their key. */
+struct NoPayload
+{};
+
 /**
- * Doubly-linked recency chain over pages in struct-of-arrays layout.
+ * Slot arena of page-keyed entries, threaded by up to @p Lists
+ * doubly-linked lists.
  *
- * Replaces the node-per-page `IntrusiveList` + `unordered_map<PageId,
- * unique_ptr<Node>>` idiom in recency policies: links live in parallel
- * `uint32_t` arrays indexed by slot, the page->slot lookup rides
- * DensePageMap's direct-indexed fast path, and freed slots recycle
- * through a free list — so the per-reference chain update touches two
- * small arrays instead of chasing heap nodes, and tracking a page costs
- * no allocation after warm-up.
+ * Every tracked key owns one slot holding its key, its links and a
+ * @p Payload.  Links live in parallel `uint32_t` arrays indexed by slot,
+ * the key->slot lookup rides DensePageMap (direct-indexed below
+ * kDensePageLimit, hashed above), and freed slots recycle through a free
+ * list, so tracking a key costs no allocation after warm-up.  Payloads
+ * sit in a deque: a payload reference stays valid until its slot is
+ * erased, however much the arena grows meanwhile.
  *
- * Chain order is front (head) to back (tail); recency policies keep the
- * eviction candidate at the front.
+ * A slot keeps its index from insert() to erase().  Relinking it
+ * (remove + pushBack, moveToBack, spliceBack) moves no data, so a handle
+ * parked on a slot — a clock hand, a victim cursor — follows its entry.
+ * A slot is on at most one list at a time; every list operation names
+ * that list (default 0).  Order is front (head) to back (tail); recency
+ * users keep the eviction candidate at the front.
  */
+template <typename Payload = NoPayload, unsigned Lists = 1>
 class DensePageChain
 {
   public:
-    bool contains(PageId page) const { return slotOf_.lookup(page) != kNoSlot; }
+    /** @{ slots */
+    ChainSlot slotOf(PageId key) const { return slotOf_.lookup(key); }
+    bool contains(PageId key) const { return slotOf(key) != kNoSlot; }
+    PageId key(ChainSlot s) const { return key_[s]; }
+    Payload &operator[](ChainSlot s) { return payload_[s]; }
+    const Payload &operator[](ChainSlot s) const { return payload_[s]; }
 
-    /** Append @p page at the back (MRU end); must not be present. */
+    /** Number of tracked keys, linked or not. */
+    std::size_t size() const { return slotOf_.size(); }
+
+    /** Track @p key (absent) in a fresh unlinked slot with a default
+     *  payload. */
+    ChainSlot
+    insert(PageId key)
+    {
+        HPE_ASSERT(!contains(key), "key {:#x} already tracked", key);
+        ChainSlot s;
+        if (freeHead_ != kNoSlot) {
+            s = freeHead_;
+            freeHead_ = next_[s];
+            key_[s] = key;
+            payload_[s] = Payload{};
+        } else {
+            s = static_cast<ChainSlot>(key_.size());
+            prev_.push_back(kNoSlot);
+            next_.push_back(kNoSlot);
+            key_.push_back(key);
+            payload_.emplace_back();
+        }
+        slotOf_.insert(key, s);
+        return s;
+    }
+
+    /** Unlink @p s from @p list and stop tracking its key. */
     void
-    pushBack(PageId page)
+    erase(ChainSlot s, unsigned list = 0)
     {
-        const std::uint32_t s = allocSlot(page);
-        prev_[s] = tail_;
-        next_[s] = kNoSlot;
-        if (tail_ != kNoSlot)
-            next_[tail_] = s;
-        else
-            head_ = s;
-        tail_ = s;
-    }
-
-    /** Insert @p page at the front (LRU end); must not be present. */
-    void
-    pushFront(PageId page)
-    {
-        const std::uint32_t s = allocSlot(page);
-        prev_[s] = kNoSlot;
-        next_[s] = head_;
-        if (head_ != kNoSlot)
-            prev_[head_] = s;
-        else
-            tail_ = s;
-        head_ = s;
-    }
-
-    /** Move @p page to the back. @return false if it is not tracked. */
-    bool
-    moveToBack(PageId page)
-    {
-        const std::uint32_t s = slotOf_.lookup(page);
-        if (s == kNoSlot)
-            return false;
-        if (s == tail_)
-            return true;
-        unlink(s);
-        prev_[s] = tail_;
-        next_[s] = kNoSlot;
-        next_[tail_] = s;
-        tail_ = s;
-        return true;
-    }
-
-    /** Remove @p page. @return false if it was not tracked. */
-    bool
-    remove(PageId page)
-    {
-        const std::uint32_t s = slotOf_.erase(page);
-        if (s == kNoSlot)
-            return false;
-        unlink(s);
+        remove(s, list);
+        slotOf_.erase(key_[s]);
         next_[s] = freeHead_;
         freeHead_ = s;
-        --size_;
-        return true;
     }
+    /** @} */
 
-    /** Page at the front (eviction candidate); chain must be nonempty. */
-    PageId
-    front() const
+    /** @{ lists */
+    void pushBack(ChainSlot s, unsigned list = 0) { link(s, ends_[list].tail, kNoSlot, list); }
+    void pushFront(ChainSlot s, unsigned list = 0) { link(s, kNoSlot, ends_[list].head, list); }
+
+    /** Link @p s immediately before @p pos, which is on @p list. */
+    void
+    insertBefore(ChainSlot pos, ChainSlot s, unsigned list = 0)
     {
-        HPE_ASSERT(size_ != 0, "front() on an empty page chain");
-        return page_[head_];
+        link(s, prev_[pos], pos, list);
     }
 
-    std::size_t size() const { return size_; }
-    bool empty() const { return size_ == 0; }
+    /** Unlink @p s from @p list; the slot stays allocated. */
+    void
+    remove(ChainSlot s, unsigned list = 0)
+    {
+        Ends &ends = ends_[list];
+        if (prev_[s] != kNoSlot)
+            next_[prev_[s]] = next_[s];
+        else
+            ends.head = next_[s];
+        if (next_[s] != kNoSlot)
+            prev_[next_[s]] = prev_[s];
+        else
+            ends.tail = prev_[s];
+        --ends.length;
+    }
+
+    void
+    moveToBack(ChainSlot s, unsigned list = 0)
+    {
+        if (s == ends_[list].tail)
+            return;
+        remove(s, list);
+        pushBack(s, list);
+    }
+
+    /** Move every slot of @p src to the back of @p dst in O(1), keeping
+     *  their order; @p src is left empty. */
+    void
+    spliceBack(unsigned dst, unsigned src)
+    {
+        Ends &to = ends_[dst];
+        Ends &from = ends_[src];
+        if (from.length == 0)
+            return;
+        if (to.length == 0) {
+            to = from;
+        } else {
+            next_[to.tail] = from.head;
+            prev_[from.head] = to.tail;
+            to.tail = from.tail;
+            to.length += from.length;
+        }
+        from = Ends{};
+    }
+
+    /** First / last slot of @p list; kNoSlot when it is empty. */
+    ChainSlot front(unsigned list = 0) const { return ends_[list].head; }
+    ChainSlot back(unsigned list = 0) const { return ends_[list].tail; }
+
+    /** Neighbour of linked @p s toward the back / front; kNoSlot at the
+     *  end of its list. */
+    ChainSlot next(ChainSlot s) const { return next_[s]; }
+    ChainSlot prev(ChainSlot s) const { return prev_[s]; }
+
+    std::size_t length(unsigned list = 0) const { return ends_[list].length; }
+    bool empty(unsigned list = 0) const { return ends_[list].length == 0; }
+
+    /** Visit the slots of @p list front to back; @p fn may erase the slot
+     *  it is given. */
+    template <typename Fn>
+    void
+    forEach(Fn &&fn, unsigned list = 0) const
+    {
+        for (ChainSlot s = ends_[list].head; s != kNoSlot;) {
+            const ChainSlot next = next_[s];
+            fn(s);
+            s = next;
+        }
+    }
+    /** @} */
 
     void
     reserve(std::size_t n)
     {
         prev_.reserve(n);
         next_.reserve(n);
-        page_.reserve(n);
-    }
-
-    /** Visit pages front to back (LRU to MRU). */
-    template <typename Fn>
-    void
-    forEach(Fn &&fn) const
-    {
-        for (std::uint32_t s = head_; s != kNoSlot; s = next_[s])
-            fn(page_[s]);
+        key_.reserve(n);
     }
 
   private:
-    static constexpr std::uint32_t kNoSlot = UINT32_MAX;
-
-    std::uint32_t
-    allocSlot(PageId page)
+    struct Ends
     {
-        HPE_ASSERT(!contains(page), "page {:#x} already chained", page);
-        std::uint32_t s;
-        if (freeHead_ != kNoSlot) {
-            s = freeHead_;
-            freeHead_ = next_[s];
-            page_[s] = page;
-        } else {
-            s = static_cast<std::uint32_t>(page_.size());
-            prev_.push_back(kNoSlot);
-            next_.push_back(kNoSlot);
-            page_.push_back(page);
-        }
-        slotOf_.insert(page, s);
-        ++size_;
-        return s;
-    }
+        ChainSlot head = kNoSlot;
+        ChainSlot tail = kNoSlot;
+        std::size_t length = 0;
+    };
 
     void
-    unlink(std::uint32_t s)
+    link(ChainSlot s, ChainSlot before, ChainSlot after, unsigned list)
     {
-        if (prev_[s] != kNoSlot)
-            next_[prev_[s]] = next_[s];
+        Ends &ends = ends_[list];
+        prev_[s] = before;
+        next_[s] = after;
+        if (before != kNoSlot)
+            next_[before] = s;
         else
-            head_ = next_[s];
-        if (next_[s] != kNoSlot)
-            prev_[next_[s]] = prev_[s];
+            ends.head = s;
+        if (after != kNoSlot)
+            prev_[after] = s;
         else
-            tail_ = prev_[s];
+            ends.tail = s;
+        ++ends.length;
     }
 
-    std::vector<std::uint32_t> prev_;
-    std::vector<std::uint32_t> next_;
-    std::vector<PageId> page_;
-    DensePageMap<std::uint32_t, kNoSlot> slotOf_;
-    std::uint32_t head_ = kNoSlot;
-    std::uint32_t tail_ = kNoSlot;
-    std::uint32_t freeHead_ = kNoSlot;
-    std::size_t size_ = 0;
+    std::vector<ChainSlot> prev_;
+    std::vector<ChainSlot> next_;
+    std::vector<PageId> key_;
+    std::deque<Payload> payload_;
+    DensePageMap<ChainSlot, kNoSlot> slotOf_;
+    std::array<Ends, Lists> ends_{};
+    ChainSlot freeHead_ = kNoSlot;
 };
 
 } // namespace hpe

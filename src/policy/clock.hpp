@@ -8,11 +8,9 @@
 
 #pragma once
 
-#include <memory>
-#include <unordered_map>
-
-#include "common/intrusive_list.hpp"
+#include "common/log.hpp"
 #include "common/types.hpp"
+#include "mem/page_index.hpp"
 #include "policy/eviction_policy.hpp"
 
 namespace hpe {
@@ -24,9 +22,8 @@ class ClockPolicy : public EvictionPolicy
     void
     onHit(PageId page) override
     {
-        auto it = nodes_.find(page);
-        if (it != nodes_.end())
-            it->second->ref = true;
+        if (const ChainSlot s = ring_.slotOf(page); s != kNoSlot)
+            ring_[s] = true;
     }
 
     void onFault(PageId) override {}
@@ -36,67 +33,55 @@ class ClockPolicy : public EvictionPolicy
     {
         HPE_ASSERT(!ring_.empty(), "CLOCK victim request with no pages");
         for (;;) {
-            if (hand_ == nullptr)
-                hand_ = &ring_.front();
-            Node &n = *hand_;
-            if (n.ref) {
+            if (hand_ == kNoSlot)
+                hand_ = ring_.front();
+            if (ring_[hand_]) {
                 // Second chance: clear and advance.
-                n.ref = false;
-                hand_ = ring_.next(n);
+                ring_[hand_] = false;
+                hand_ = ring_.next(hand_);
                 continue;
             }
-            return n.page;
+            return ring_.key(hand_);
         }
     }
 
     void
     onEvict(PageId page) override
     {
-        auto it = nodes_.find(page);
-        HPE_ASSERT(it != nodes_.end(), "evicting untracked page {:#x}", page);
-        if (hand_ == it->second.get())
-            hand_ = ring_.next(*it->second);
-        ring_.remove(*it->second);
-        nodes_.erase(it);
+        const ChainSlot s = ring_.slotOf(page);
+        HPE_ASSERT(s != kNoSlot, "evicting untracked page {:#x}", page);
+        if (hand_ == s)
+            hand_ = ring_.next(s);
+        ring_.erase(s);
     }
 
     void
     onMigrateIn(PageId page) override
     {
-        auto node = std::make_unique<Node>();
-        node->page = page;
+        const ChainSlot s = ring_.insert(page);
         // Insert behind the hand (newest position on the clock face).
-        if (hand_ != nullptr)
-            ring_.insertBefore(*hand_, *node);
+        if (hand_ != kNoSlot)
+            ring_.insertBefore(hand_, s);
         else
-            ring_.pushBack(*node);
-        nodes_.emplace(page, std::move(node));
+            ring_.pushBack(s);
     }
 
     std::string name() const override { return "CLOCK"; }
 
-    void reserveCapacity(std::size_t frames) override { nodes_.reserve(frames); }
+    void reserveCapacity(std::size_t frames) override { ring_.reserve(frames); }
 
     std::optional<std::vector<PageId>>
     trackedResidentPages() const override
     {
         std::vector<PageId> pages;
-        pages.reserve(nodes_.size());
-        for (const auto &[page, node] : nodes_)
-            pages.push_back(page);
+        pages.reserve(ring_.size());
+        ring_.forEach([&](ChainSlot s) { pages.push_back(ring_.key(s)); });
         return pages;
     }
 
   private:
-    struct Node : IntrusiveNode
-    {
-        PageId page = kInvalidId;
-        bool ref = false;
-    };
-
-    IntrusiveList<Node> ring_;
-    std::unordered_map<PageId, std::unique_ptr<Node>> nodes_;
-    Node *hand_ = nullptr;
+    DensePageChain<bool> ring_; ///< payload: the reference bit
+    ChainSlot hand_ = kNoSlot;
 };
 
 } // namespace hpe

@@ -11,8 +11,6 @@ ClockProPolicy::ClockProPolicy(const ClockProConfig &cfg)
     HPE_ASSERT(cfg.coldAllocation > 0, "cold allocation must be positive");
 }
 
-ClockProPolicy::~ClockProPolicy() = default;
-
 void
 ClockProPolicy::emitTransition(bool promotion, PageId page)
 {
@@ -24,36 +22,38 @@ ClockProPolicy::emitTransition(bool promotion, PageId page)
                 page, 0);
 }
 
-ClockProPolicy::Node *
-ClockProPolicy::clockNext(Node *hand)
+ChainSlot
+ClockProPolicy::clockNext(ChainSlot hand) const
 {
-    if (hand == nullptr)
-        return clock_.empty() ? nullptr : &clock_.front();
-    Node *n = clock_.next(*hand);
-    return n != nullptr ? n : (clock_.empty() ? nullptr : &clock_.front());
+    const ChainSlot n = hand == kNoSlot ? kNoSlot : clock_.next(hand);
+    return n != kNoSlot ? n : clock_.front();
 }
 
 void
-ClockProPolicy::unlink(Node &node)
+ClockProPolicy::passHands(ChainSlot s)
 {
-    // A hand parked on a removed node advances first so it never dangles.
-    for (Node **hand : {&handCold_, &handHot_, &handTest_}) {
-        if (*hand == &node) {
-            *hand = clock_.next(node);
-            // May still be null if node is the tail; clockNext() handles
-            // wrap-around lazily on the next use.
-        }
-    }
-    clock_.remove(node);
+    // A hand parked on a leaving slot advances first so it never follows
+    // it.  It may land on kNoSlot if s is the tail; clockNext() handles
+    // wrap-around lazily on the next use.
+    for (ChainSlot *hand : {&handCold_, &handHot_, &handTest_})
+        if (*hand == s)
+            *hand = clock_.next(s);
+}
+
+void
+ClockProPolicy::drop(ChainSlot s)
+{
+    passHands(s);
+    clock_.erase(s);
 }
 
 void
 ClockProPolicy::onHit(PageId page)
 {
-    auto it = nodes_.find(page);
-    if (it == nodes_.end())
+    const ChainSlot s = clock_.slotOf(page);
+    if (s == kNoSlot)
         return;
-    Node &n = *it->second;
+    Meta &n = clock_[s];
     HPE_ASSERT(n.state != State::ColdNonResident,
                "walk hit on non-resident page {:#x}", page);
     // References only set the bit; list movement happens at the hands.
@@ -75,7 +75,7 @@ ClockProPolicy::runHandHot()
     std::size_t guard = 2 * clock_.size() + 2;
     while (numHot_ > 0 && guard-- > 0) {
         handHot_ = clockNext(handHot_);
-        Node &n = *handHot_;
+        Meta &n = clock_[handHot_];
         if (n.state == State::Hot) {
             if (n.ref) {
                 n.ref = false;
@@ -84,15 +84,14 @@ ClockProPolicy::runHandHot()
                 n.test = false;
                 --numHot_;
                 ++numColdRes_;
-                emitTransition(/*promotion=*/false, n.page);
+                emitTransition(/*promotion=*/false, clock_.key(handHot_));
                 return;
             }
         } else if (n.state == State::ColdNonResident) {
-            Node *victim = handHot_;
-            handHot_ = clock_.prev(n); // advance past it on next call
-            unlink(*victim);
+            const ChainSlot victim = handHot_;
+            handHot_ = clock_.prev(victim); // advance past it on next call
+            drop(victim);
             --numColdNonRes_;
-            nodes_.erase(victim->page);
         } else {
             // Resident cold page: passing HAND_hot terminates its test.
             n.test = false;
@@ -106,13 +105,12 @@ ClockProPolicy::runHandTest()
     std::size_t guard = clock_.size() + 1;
     while ((numColdNonRes_ > 0 || numColdRes_ > 0) && guard-- > 0) {
         handTest_ = clockNext(handTest_);
-        Node &n = *handTest_;
+        Meta &n = clock_[handTest_];
         if (n.state == State::ColdNonResident) {
-            Node *victim = handTest_;
-            handTest_ = clock_.prev(n);
-            unlink(*victim);
+            const ChainSlot victim = handTest_;
+            handTest_ = clock_.prev(victim);
+            drop(victim);
             --numColdNonRes_;
-            nodes_.erase(victim->page);
             return;
         }
         if (n.state == State::ColdResident && n.test) {
@@ -137,7 +135,7 @@ ClockProPolicy::selectVictim()
             }
         }
         handCold_ = clockNext(handCold_);
-        Node &n = *handCold_;
+        Meta &n = clock_[handCold_];
         if (n.state != State::ColdResident)
             continue;
         if (n.ref) {
@@ -148,7 +146,7 @@ ClockProPolicy::selectVictim()
                 n.state = State::Hot;
                 --numColdRes_;
                 ++numHot_;
-                emitTransition(/*promotion=*/true, n.page);
+                emitTransition(/*promotion=*/true, clock_.key(handCold_));
                 // Keep the resident cold allocation near m_c: a promotion
                 // that drops cold residency below target demotes a hot page
                 // (unless the whole population fits in the allocation).
@@ -157,32 +155,31 @@ ClockProPolicy::selectVictim()
                     runHandHot();
             } else {
                 // Referenced but past its test: recycle with a fresh test.
+                // The slot moves, so the other hands parked on it follow.
                 n.ref = false;
                 n.test = true;
-                Node *moved = handCold_;
-                handCold_ = clock_.prev(n);
-                clock_.remove(*moved);
-                clock_.pushBack(*moved);
+                const ChainSlot moved = handCold_;
+                handCold_ = clock_.prev(moved);
+                clock_.moveToBack(moved);
             }
             continue;
         }
         // Unreferenced resident cold page: this is the victim.
-        return n.page;
+        return clock_.key(handCold_);
     }
 }
 
 void
 ClockProPolicy::onEvict(PageId page)
 {
-    auto it = nodes_.find(page);
-    HPE_ASSERT(it != nodes_.end(), "evicting untracked page {:#x}", page);
-    Node &n = *it->second;
+    const ChainSlot s = clock_.slotOf(page);
+    HPE_ASSERT(s != kNoSlot, "evicting untracked page {:#x}", page);
+    Meta &n = clock_[s];
     HPE_ASSERT(n.state != State::ColdNonResident, "evicting non-resident page");
     if (n.state == State::Hot) {
         // Forced eviction of a hot page (driver override); drop it entirely.
         --numHot_;
-        unlink(n);
-        nodes_.erase(it);
+        drop(s);
         return;
     }
     --numColdRes_;
@@ -194,25 +191,24 @@ ClockProPolicy::onEvict(PageId page)
         while (numColdNonRes_ > cfg_.maxNonResident)
             runHandTest();
     } else {
-        unlink(n);
-        nodes_.erase(it);
+        drop(s);
     }
 }
 
 void
 ClockProPolicy::onMigrateIn(PageId page)
 {
-    auto it = nodes_.find(page);
-    if (it != nodes_.end()) {
+    const ChainSlot s = clock_.slotOf(page);
+    if (s != kNoSlot) {
         // Faulted back during its test period: promote straight to hot
         // (its reuse distance beat a full cold-allocation sweep).
-        Node &n = *it->second;
+        Meta &n = clock_[s];
         HPE_ASSERT(n.state == State::ColdNonResident,
                    "migrate-in of already-resident page {:#x}", page);
         --numColdNonRes_;
         // Move to the newest clock position as a hot page.
-        unlink(n);
-        clock_.pushBack(n);
+        passHands(s);
+        clock_.moveToBack(s);
         n.state = State::Hot;
         n.ref = false;
         n.test = false;
@@ -231,34 +227,26 @@ ClockProPolicy::onMigrateIn(PageId page)
 void
 ClockProPolicy::onPrefetchIn(PageId page)
 {
-    auto it = nodes_.find(page);
-    if (it != nodes_.end()) {
+    ChainSlot s = clock_.slotOf(page);
+    if (s != kNoSlot) {
         // The page has non-resident test metadata, but this arrival is
         // speculation, not a demonstrated refault — no hot promotion.
         // It rejoins the clock as a plain resident cold page.
-        Node &n = *it->second;
-        HPE_ASSERT(n.state == State::ColdNonResident,
+        HPE_ASSERT(clock_[s].state == State::ColdNonResident,
                    "prefetch-in of already-resident page {:#x}", page);
         --numColdNonRes_;
-        unlink(n);
-        clock_.pushFront(n);
-        n.state = State::ColdResident;
-        n.ref = false;
-        n.test = false;
-        ++numColdRes_;
+        passHands(s);
+        clock_.remove(s);
     } else {
-        // Brand-new page: resident cold at the *oldest* clock position and
-        // outside any test period, so HAND_cold reclaims it first unless a
-        // real reference arrives.
-        auto node = std::make_unique<Node>();
-        Node &n = *node;
-        n.page = page;
-        n.state = State::ColdResident;
-        n.test = false;
-        clock_.pushFront(n);
-        nodes_.emplace(page, std::move(node));
-        ++numColdRes_;
+        // Brand-new page.
+        s = clock_.insert(page);
     }
+    // Resident cold at the *oldest* clock position and outside any test
+    // period, so HAND_cold reclaims it first unless a real reference
+    // arrives.
+    clock_[s] = Meta{State::ColdResident, false, false};
+    clock_.pushFront(s);
+    ++numColdRes_;
     // Observable cold placement of a speculative page (value 1 flags the
     // speculation, distinguishing it from hot->cold demotions).
     if (sink_ != nullptr)
@@ -274,24 +262,20 @@ ClockProPolicy::trackedResidentPages() const
     // metadata only and must not be reported.
     std::vector<PageId> pages;
     pages.reserve(numHot_ + numColdRes_);
-    for (const auto &[page, node] : nodes_)
-        if (node->state != State::ColdNonResident)
-            pages.push_back(page);
+    clock_.forEach([&](ChainSlot s) {
+        if (clock_[s].state != State::ColdNonResident)
+            pages.push_back(clock_.key(s));
+    });
     return pages;
 }
 
-ClockProPolicy::Node &
+void
 ClockProPolicy::insertNew(PageId page)
 {
-    auto node = std::make_unique<Node>();
-    node->page = page;
-    node->state = State::ColdResident;
-    node->test = true;
-    Node &ref = *node;
-    clock_.pushBack(ref);
-    nodes_.emplace(page, std::move(node));
+    const ChainSlot s = clock_.insert(page);
+    clock_[s] = Meta{State::ColdResident, false, /*test=*/true};
+    clock_.pushBack(s);
     ++numColdRes_;
-    return ref;
 }
 
 } // namespace hpe

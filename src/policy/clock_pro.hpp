@@ -20,11 +20,9 @@
 #pragma once
 
 #include <cstdint>
-#include <memory>
-#include <unordered_map>
 
-#include "common/intrusive_list.hpp"
 #include "common/types.hpp"
+#include "mem/page_index.hpp"
 #include "policy/eviction_policy.hpp"
 
 namespace hpe {
@@ -43,7 +41,6 @@ class ClockProPolicy : public EvictionPolicy
 {
   public:
     explicit ClockProPolicy(const ClockProConfig &cfg = {});
-    ~ClockProPolicy() override;
 
     void onHit(PageId page) override;
     void onFault(PageId page) override;
@@ -60,7 +57,7 @@ class ClockProPolicy : public EvictionPolicy
     void setTraceSink(trace::TraceSink *sink) override { sink_ = sink; }
 
     // CLOCK-Pro tracks non-resident (test) pages too, up to ~2x memory.
-    void reserveCapacity(std::size_t frames) override { nodes_.reserve(2 * frames); }
+    void reserveCapacity(std::size_t frames) override { clock_.reserve(2 * frames); }
 
     std::optional<std::vector<PageId>> trackedResidentPages() const override;
 
@@ -73,19 +70,22 @@ class ClockProPolicy : public EvictionPolicy
   private:
     enum class State : std::uint8_t { Hot, ColdResident, ColdNonResident };
 
-    struct Node : IntrusiveNode
+    struct Meta
     {
-        PageId page = kInvalidId;
         State state = State::ColdResident;
         bool ref = false;   ///< referenced since last hand pass
         bool test = false;  ///< cold page inside its test period
     };
 
-    /** Advance @p hand to the next node, wrapping at the list tail. */
-    Node *clockNext(Node *hand);
+    /** Advance @p hand to the next slot, wrapping at the list tail. */
+    ChainSlot clockNext(ChainSlot hand) const;
 
-    /** Remove @p node from the clock, fixing any hand parked on it. */
-    void unlink(Node &node);
+    /** Move every hand parked on @p s to its successor (kNoSlot at the
+     *  tail) before @p s leaves its clock position. */
+    void passHands(ChainSlot s);
+
+    /** Drop @p s from the clock and forget its page. */
+    void drop(ChainSlot s);
 
     /** Run HAND_hot once: demote the first unreferenced hot page it finds. */
     void runHandHot();
@@ -94,19 +94,18 @@ class ClockProPolicy : public EvictionPolicy
     void runHandTest();
 
     /** Insert a brand-new cold page at the clock head (newest position). */
-    Node &insertNew(PageId page);
+    void insertNew(PageId page);
 
     /** Emit a hot/cold transition event if a sink is attached. */
     void emitTransition(bool promotion, PageId page);
 
     ClockProConfig cfg_;
     trace::TraceSink *sink_ = nullptr;
-    IntrusiveList<Node> clock_;
-    std::unordered_map<PageId, std::unique_ptr<Node>> nodes_;
+    DensePageChain<Meta> clock_;
 
-    Node *handCold_ = nullptr;
-    Node *handHot_ = nullptr;
-    Node *handTest_ = nullptr;
+    ChainSlot handCold_ = kNoSlot;
+    ChainSlot handHot_ = kNoSlot;
+    ChainSlot handTest_ = kNoSlot;
 
     std::size_t numHot_ = 0;
     std::size_t numColdRes_ = 0;

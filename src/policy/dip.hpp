@@ -14,13 +14,11 @@
 #pragma once
 
 #include <cstdint>
-#include <memory>
-#include <unordered_map>
 
-#include "common/intrusive_list.hpp"
 #include "common/log.hpp"
 #include "common/rng.hpp"
 #include "common/types.hpp"
+#include "mem/page_index.hpp"
 #include "policy/eviction_policy.hpp"
 
 namespace hpe {
@@ -70,9 +68,8 @@ class DipPolicy : public EvictionPolicy
     void
     onHit(PageId page) override
     {
-        auto it = nodes_.find(page);
-        if (it != nodes_.end())
-            chain_.moveToBack(*it->second);
+        if (const ChainSlot s = chain_.slotOf(page); s != kNoSlot)
+            chain_.moveToBack(s);
     }
 
     void
@@ -98,23 +95,20 @@ class DipPolicy : public EvictionPolicy
     selectVictim() override
     {
         HPE_ASSERT(!chain_.empty(), "DIP victim request with no pages");
-        return chain_.front().page;
+        return chain_.key(chain_.front());
     }
 
     void
     onEvict(PageId page) override
     {
-        auto it = nodes_.find(page);
-        HPE_ASSERT(it != nodes_.end(), "evicting untracked page {:#x}", page);
-        chain_.remove(*it->second);
-        nodes_.erase(it);
+        const ChainSlot s = chain_.slotOf(page);
+        HPE_ASSERT(s != kNoSlot, "evicting untracked page {:#x}", page);
+        chain_.erase(s);
     }
 
     void
     onMigrateIn(PageId page) override
     {
-        auto node = std::make_unique<Node>();
-        node->page = page;
         bool insert_mru = true;
         switch (groupOf(page)) {
           case Group::LruLeader:
@@ -131,24 +125,23 @@ class DipPolicy : public EvictionPolicy
                 : rng_.below(cfg_.bipEpsilonInverse) == 0;
             break;
         }
+        const ChainSlot s = chain_.insert(page);
         if (insert_mru)
-            chain_.pushBack(*node);
+            chain_.pushBack(s);
         else
-            chain_.pushFront(*node);
-        nodes_.emplace(page, std::move(node));
+            chain_.pushFront(s);
     }
 
     std::string name() const override { return "DIP"; }
 
-    void reserveCapacity(std::size_t frames) override { nodes_.reserve(frames); }
+    void reserveCapacity(std::size_t frames) override { chain_.reserve(frames); }
 
     std::optional<std::vector<PageId>>
     trackedResidentPages() const override
     {
         std::vector<PageId> pages;
-        pages.reserve(nodes_.size());
-        for (const auto &[page, node] : nodes_)
-            pages.push_back(page);
+        pages.reserve(chain_.size());
+        chain_.forEach([&](ChainSlot s) { pages.push_back(chain_.key(s)); });
         return pages;
     }
 
@@ -157,11 +150,6 @@ class DipPolicy : public EvictionPolicy
 
   private:
     enum class Group { LruLeader, BipLeader, Follower };
-
-    struct Node : IntrusiveNode
-    {
-        PageId page = kInvalidId;
-    };
 
     Group
     groupOf(PageId page) const
@@ -179,8 +167,7 @@ class DipPolicy : public EvictionPolicy
     DipConfig cfg_;
     std::uint32_t psel_;
     Rng rng_;
-    IntrusiveList<Node> chain_;
-    std::unordered_map<PageId, std::unique_ptr<Node>> nodes_;
+    DensePageChain<> chain_;
 };
 
 } // namespace hpe

@@ -9,11 +9,11 @@
 
 #include <algorithm>
 #include <cstdint>
-#include <unordered_map>
 #include <vector>
 
 #include "common/log.hpp"
 #include "common/types.hpp"
+#include "mem/page_index.hpp"
 #include "policy/eviction_policy.hpp"
 
 namespace hpe {
@@ -36,10 +36,8 @@ class LfuPolicy : public EvictionPolicy
     void
     onHit(PageId page) override
     {
-        auto it = pages_.find(page);
-        if (it == pages_.end())
-            return;
-        bump(it->second, page);
+        if (const ChainSlot s = pages_.slotOf(page); s != kNoSlot)
+            bump(s);
     }
 
     void onFault(PageId) override {}
@@ -47,14 +45,13 @@ class LfuPolicy : public EvictionPolicy
     PageId
     selectVictim() override
     {
-        HPE_ASSERT(resident_ > 0, "LFU victim request with no pages");
+        HPE_ASSERT(!pages_.empty(), "LFU victim request with no pages");
         while (true) {
             HPE_ASSERT(!heap_.empty(), "LFU heap lost a resident page");
             const Entry &top = heap_.front();
-            auto it = pages_.find(top.page);
-            if (it != pages_.end() && it->second.resident
-                && it->second.sequence == top.sequence)
-                return top.page;
+            const State &st = pages_[top.slot];
+            if (st.resident && st.sequence == top.sequence)
+                return pages_.key(top.slot);
             std::pop_heap(heap_.begin(), heap_.end(), Greater{});
             heap_.pop_back();
         }
@@ -63,24 +60,25 @@ class LfuPolicy : public EvictionPolicy
     void
     onEvict(PageId page) override
     {
-        auto it = pages_.find(page);
-        HPE_ASSERT(it != pages_.end(), "evicting untracked page {:#x}", page);
+        const ChainSlot s = pages_.slotOf(page);
+        HPE_ASSERT(s != kNoSlot && pages_[s].resident,
+                   "evicting untracked page {:#x}", page);
         // Frequency survives eviction so a returning page keeps history;
         // the heap entry goes stale and is popped or compacted lazily.
-        it->second.resident = false;
-        --resident_;
+        pages_[s].resident = false;
+        pages_.remove(s);
     }
 
     void
     onMigrateIn(PageId page) override
     {
-        State &st = pages_[page];
-        HPE_ASSERT(!st.resident, "double migrate-in of page {:#x}", page);
-        st.resident = true;
-        ++st.frequency;
-        st.sequence = ++clock_;
-        ++resident_;
-        push(st, page);
+        ChainSlot s = pages_.slotOf(page);
+        if (s == kNoSlot)
+            s = pages_.insert(page);
+        HPE_ASSERT(!pages_[s].resident, "double migrate-in of page {:#x}", page);
+        pages_[s].resident = true;
+        pages_.pushBack(s);
+        bump(s);
     }
 
     std::string name() const override { return "LFU"; }
@@ -96,10 +94,8 @@ class LfuPolicy : public EvictionPolicy
     trackedResidentPages() const override
     {
         std::vector<PageId> pages;
-        pages.reserve(resident_);
-        for (const auto &[page, st] : pages_)
-            if (st.resident)
-                pages.push_back(page);
+        pages.reserve(pages_.length());
+        pages_.forEach([&](ChainSlot s) { pages.push_back(pages_.key(s)); });
         return pages;
     }
 
@@ -107,8 +103,8 @@ class LfuPolicy : public EvictionPolicy
     std::uint64_t
     frequencyOf(PageId page) const
     {
-        auto it = pages_.find(page);
-        return it == pages_.end() ? 0 : it->second.frequency;
+        const ChainSlot s = pages_.slotOf(page);
+        return s == kNoSlot ? 0 : pages_[s].frequency;
     }
 
   private:
@@ -123,7 +119,7 @@ class LfuPolicy : public EvictionPolicy
     {
         std::uint64_t frequency;
         std::uint64_t sequence;
-        PageId page;
+        ChainSlot slot; ///< LFU never erases a slot, so it stays the page's
     };
 
     /** Min-heap order on (frequency, sequence); sequences are unique. */
@@ -139,20 +135,21 @@ class LfuPolicy : public EvictionPolicy
     };
 
     void
-    bump(State &st, PageId page)
+    bump(ChainSlot s)
     {
+        State &st = pages_[s];
         ++st.frequency;
         st.sequence = ++clock_;
         if (st.resident)
-            push(st, page);
+            push(s);
     }
 
     void
-    push(const State &st, PageId page)
+    push(ChainSlot s)
     {
-        if (heap_.size() >= 2 * resident_ + 64)
+        if (heap_.size() >= 2 * pages_.length() + 64)
             rebuild();
-        heap_.push_back(Entry{st.frequency, st.sequence, page});
+        heap_.push_back(Entry{pages_[s].frequency, pages_[s].sequence, s});
         std::push_heap(heap_.begin(), heap_.end(), Greater{});
     }
 
@@ -161,15 +158,15 @@ class LfuPolicy : public EvictionPolicy
     rebuild()
     {
         heap_.clear();
-        for (const auto &[page, st] : pages_)
-            if (st.resident)
-                heap_.push_back(Entry{st.frequency, st.sequence, page});
+        pages_.forEach([&](ChainSlot s) {
+            heap_.push_back(Entry{pages_[s].frequency, pages_[s].sequence, s});
+        });
         std::make_heap(heap_.begin(), heap_.end(), Greater{});
     }
 
-    std::unordered_map<PageId, State> pages_;
+    /** Every page ever seen; list 0 holds the resident ones. */
+    DensePageChain<State> pages_;
     std::vector<Entry> heap_;
-    std::size_t resident_ = 0;
     std::uint64_t clock_ = 0;
 };
 

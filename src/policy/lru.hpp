@@ -7,7 +7,7 @@
  *
  * The chain is a DensePageChain: struct-of-arrays links with a
  * direct-indexed page->slot map, so the per-reference recency update is
- * two array writes instead of a hash probe plus a heap-node relink.
+ * a few array writes with no hashing and no allocation.
  */
 
 #pragma once
@@ -22,7 +22,12 @@ namespace hpe {
 class LruPolicy : public EvictionPolicy
 {
   public:
-    void onHit(PageId page) override { chain_.moveToBack(page); }
+    void
+    onHit(PageId page) override
+    {
+        if (const ChainSlot s = chain_.slotOf(page); s != kNoSlot)
+            chain_.moveToBack(s);
+    }
 
     void onFault(PageId) override {}
 
@@ -30,21 +35,22 @@ class LruPolicy : public EvictionPolicy
     selectVictim() override
     {
         HPE_ASSERT(!chain_.empty(), "LRU victim request with no resident pages");
-        return chain_.front();
+        return chain_.key(chain_.front());
     }
 
     void
     onEvict(PageId page) override
     {
-        const bool tracked = chain_.remove(page);
-        HPE_ASSERT(tracked, "evicting untracked page {:#x}", page);
+        const ChainSlot s = chain_.slotOf(page);
+        HPE_ASSERT(s != kNoSlot, "evicting untracked page {:#x}", page);
+        chain_.erase(s);
     }
 
-    void onMigrateIn(PageId page) override { chain_.pushBack(page); }
+    void onMigrateIn(PageId page) override { chain_.pushBack(chain_.insert(page)); }
 
     /** Speculative arrivals enter at the LRU (cold) end: a prefetched
      *  page is the first victim unless it proves itself with a hit. */
-    void onPrefetchIn(PageId page) override { chain_.pushFront(page); }
+    void onPrefetchIn(PageId page) override { chain_.pushFront(chain_.insert(page)); }
 
     std::string name() const override { return "LRU"; }
 
@@ -55,7 +61,7 @@ class LruPolicy : public EvictionPolicy
     {
         std::vector<PageId> pages;
         pages.reserve(chain_.size());
-        chain_.forEach([&pages](PageId page) { pages.push_back(page); });
+        chain_.forEach([&](ChainSlot s) { pages.push_back(chain_.key(s)); });
         return pages;
     }
 
@@ -63,7 +69,7 @@ class LruPolicy : public EvictionPolicy
     std::size_t size() const { return chain_.size(); }
 
   private:
-    DensePageChain chain_;
+    DensePageChain<> chain_;
 };
 
 } // namespace hpe

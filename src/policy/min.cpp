@@ -1,6 +1,6 @@
 #include "policy/min.hpp"
 
-#include <algorithm>
+#include <utility>
 
 #include "common/log.hpp"
 
@@ -11,7 +11,14 @@ MinPolicy::MinPolicy(TracePtr trace)
 {
     HPE_ASSERT(trace_ != nullptr, "MIN requires a canonical trace");
     for (std::uint64_t i = 0; i < trace_->size(); ++i)
-        positions_[(*trace_)[i]].push_back(i);
+        pages_[slotFor((*trace_)[i])].positions.push_back(i);
+}
+
+ChainSlot
+MinPolicy::slotFor(PageId page)
+{
+    const ChainSlot s = pages_.slotOf(page);
+    return s != kNoSlot ? s : pages_.insert(page);
 }
 
 void
@@ -24,13 +31,12 @@ MinPolicy::observe(PageId page)
     // policy exactly once (merged faults arrive as hits after wakeup), so
     // the pointers stay synchronized; in the functional simulator this is
     // exact Belady MIN.
-    PageState &st = pages_[page];
-    auto pit = positions_.find(page);
-    if (pit == positions_.end()) {
+    PageState &st = pages_[slotFor(page)];
+    const auto &pos = st.positions;
+    if (pos.empty()) {
         st.nextUse = kNever;
         return;
     }
-    const auto &pos = pit->second;
     const std::uint64_t seen = st.refsSeen < pos.size() ? st.refsSeen : pos.size() - 1;
     ++st.refsSeen;
     st.nextUse = seen + 1 < pos.size() ? pos[seen + 1] : kNever;
@@ -40,41 +46,53 @@ PageId
 MinPolicy::selectVictim()
 {
     HPE_ASSERT(!resident_.empty(), "MIN victim request with no resident pages");
-    PageId best = kInvalidId;
+    ChainSlot best = kNoSlot;
     std::uint64_t best_use = 0;
-    for (PageId page : resident_) {
-        PageState &st = pages_[page];
-        if (st.nextUse == kNever)
-            return page; // never used again: unbeatable victim
-        if (best == kInvalidId || st.nextUse > best_use) {
-            best = page;
-            best_use = st.nextUse;
+    for (ChainSlot s : resident_) {
+        const std::uint64_t next_use = pages_[s].nextUse;
+        if (next_use == kNever)
+            return pages_.key(s); // never used again: unbeatable victim
+        if (best == kNoSlot || next_use > best_use) {
+            best = s;
+            best_use = next_use;
         }
     }
-    return best;
+    return pages_.key(best);
 }
 
 void
 MinPolicy::onEvict(PageId page)
 {
-    auto it = residentIndex_.find(page);
-    HPE_ASSERT(it != residentIndex_.end(), "evicting untracked page {:#x}", page);
-    pages_[page].resident = false;
-    const std::size_t pos = it->second;
-    resident_[pos] = resident_.back();
-    residentIndex_[resident_[pos]] = pos;
+    const ChainSlot s = pages_.slotOf(page);
+    HPE_ASSERT(s != kNoSlot && pages_[s].residentPos != kNotResident,
+               "evicting untracked page {:#x}", page);
+    const std::uint32_t pos = std::exchange(pages_[s].residentPos, kNotResident);
+    const ChainSlot last = resident_.back();
     resident_.pop_back();
-    residentIndex_.erase(page);
+    if (last != s) {
+        resident_[pos] = last;
+        pages_[last].residentPos = pos;
+    }
 }
 
 void
 MinPolicy::onMigrateIn(PageId page)
 {
-    PageState &st = pages_[page];
-    HPE_ASSERT(!st.resident, "double migrate-in of page {:#x}", page);
-    st.resident = true;
-    residentIndex_.emplace(page, resident_.size());
-    resident_.push_back(page);
+    const ChainSlot s = slotFor(page);
+    HPE_ASSERT(pages_[s].residentPos == kNotResident,
+               "double migrate-in of page {:#x}", page);
+    pages_[s].residentPos = static_cast<std::uint32_t>(resident_.size());
+    resident_.push_back(s);
+}
+
+std::optional<std::vector<PageId>>
+MinPolicy::trackedResidentPages() const
+{
+    std::vector<PageId> pages;
+    pages.reserve(resident_.size());
+    for (ChainSlot s : resident_)
+        pages.push_back(pages_.key(s));
+    return pages;
 }
 
 } // namespace hpe

@@ -16,10 +16,10 @@
 
 #include <cstdint>
 #include <memory>
-#include <unordered_map>
 #include <vector>
 
 #include "common/types.hpp"
+#include "mem/page_index.hpp"
 #include "policy/eviction_policy.hpp"
 
 namespace hpe {
@@ -41,31 +41,32 @@ class MinPolicy : public EvictionPolicy
     void onMigrateIn(PageId page) override;
     std::string name() const override { return "Ideal"; }
 
-    std::optional<std::vector<PageId>>
-    trackedResidentPages() const override
-    {
-        return resident_;
-    }
+    std::optional<std::vector<PageId>> trackedResidentPages() const override;
 
   private:
     static constexpr std::uint64_t kNever = UINT64_MAX;
+    static constexpr std::uint32_t kNotResident = UINT32_MAX;
+
+    /** The slot of @p page, tracking it first if it is new. */
+    ChainSlot slotFor(PageId page);
 
     /** Advance the oracle one reference and refresh the page's next-use. */
     void observe(PageId page);
 
     struct PageState
     {
+        std::vector<std::uint64_t> positions; ///< canonical reference order
         std::uint64_t refsSeen = 0;     ///< observations so far
         std::uint64_t nextUse = kNever; ///< canonical position of next ref
-        bool resident = false;
+        std::uint32_t residentPos = kNotResident; ///< index in resident_
     };
 
     TracePtr trace_;
-    std::unordered_map<PageId, std::vector<std::uint64_t>> positions_;
-    std::unordered_map<PageId, PageState> pages_;
-    /** Dense resident-page list for victim scans (swap-remove). */
-    std::vector<PageId> resident_;
-    std::unordered_map<PageId, std::size_t> residentIndex_;
+    /** Every page of the trace or observed since; the arena's lists are
+     *  unused. */
+    DensePageChain<PageState> pages_;
+    /** Dense resident-slot list for victim scans (swap-remove). */
+    std::vector<ChainSlot> resident_;
 };
 
 } // namespace hpe

@@ -7,12 +7,12 @@
 #pragma once
 
 #include <cstdint>
-#include <unordered_map>
 #include <vector>
 
 #include "common/log.hpp"
 #include "common/rng.hpp"
 #include "common/types.hpp"
+#include "mem/page_index.hpp"
 #include "policy/eviction_policy.hpp"
 
 namespace hpe {
@@ -37,31 +37,28 @@ class RandomPolicy : public EvictionPolicy
     void
     onEvict(PageId page) override
     {
-        auto it = index_.find(page);
-        HPE_ASSERT(it != index_.end(), "evicting untracked page {:#x}", page);
+        const std::uint32_t pos = index_.erase(page);
+        HPE_ASSERT(pos != kAbsent, "evicting untracked page {:#x}", page);
         // Swap-remove to keep the resident vector dense.
-        const std::size_t pos = it->second;
-        pages_[pos] = pages_.back();
-        index_[pages_[pos]] = pos;
+        const PageId last = pages_.back();
         pages_.pop_back();
-        index_.erase(page);
+        if (last != page) {
+            pages_[pos] = last;
+            index_.erase(last);
+            index_.insert(last, pos);
+        }
     }
 
     void
     onMigrateIn(PageId page) override
     {
-        index_.emplace(page, pages_.size());
+        index_.insert(page, static_cast<std::uint32_t>(pages_.size()));
         pages_.push_back(page);
     }
 
     std::string name() const override { return "Random"; }
 
-    void
-    reserveCapacity(std::size_t frames) override
-    {
-        pages_.reserve(frames);
-        index_.reserve(frames);
-    }
+    void reserveCapacity(std::size_t frames) override { pages_.reserve(frames); }
 
     std::optional<std::vector<PageId>>
     trackedResidentPages() const override
@@ -70,9 +67,11 @@ class RandomPolicy : public EvictionPolicy
     }
 
   private:
+    static constexpr std::uint32_t kAbsent = UINT32_MAX;
+
     Rng rng_;
     std::vector<PageId> pages_;
-    std::unordered_map<PageId, std::size_t> index_;
+    DensePageMap<std::uint32_t, kAbsent> index_; ///< page -> position in pages_
 };
 
 } // namespace hpe

@@ -14,11 +14,11 @@ RripPolicy::RripPolicy(const RripConfig &cfg)
 void
 RripPolicy::onHit(PageId page)
 {
-    auto it = nodes_.find(page);
-    if (it == nodes_.end())
+    const ChainSlot s = ring_.slotOf(page);
+    if (s == kNoSlot)
         return;
     // Frequency priority: each re-reference steps the prediction nearer.
-    Node &n = *it->second;
+    Prediction &n = ring_[s];
     if (n.rrpv > 0)
         --n.rrpv;
 }
@@ -38,48 +38,47 @@ RripPolicy::selectVictim()
         // Pass 1: oldest-first scan for a distant page outside its delay
         // window.
         bool any_below_max = false;
-        for (Node &n : ring_) {
+        for (ChainSlot s = ring_.front(); s != kNoSlot; s = ring_.next(s)) {
+            const Prediction &n = ring_[s];
             if (n.rrpv < max) {
                 any_below_max = true;
                 continue;
             }
             if (faultNumber_ - n.delay >= cfg_.delayThreshold)
-                return n.page;
+                return ring_.key(s);
         }
         if (!any_below_max)
             break; // aging cannot make progress
         // Age every page and rescan, as in the original SRRIP victim loop.
-        for (Node &n : ring_)
-            if (n.rrpv < max)
-                ++n.rrpv;
+        ring_.forEach([&](ChainSlot s) {
+            if (ring_[s].rrpv < max)
+                ++ring_[s].rrpv;
+        });
     }
     // Every RRPV is distant but all pages are inside the delay window:
     // take the widest margin (oldest insertion).
-    Node *best = nullptr;
-    for (Node &n : ring_)
-        if (best == nullptr || n.delay < best->delay)
-            best = &n;
-    return best->page;
+    ChainSlot best = ring_.front();
+    ring_.forEach([&](ChainSlot s) {
+        if (ring_[s].delay < ring_[best].delay)
+            best = s;
+    });
+    return ring_.key(best);
 }
 
 void
 RripPolicy::onEvict(PageId page)
 {
-    auto it = nodes_.find(page);
-    HPE_ASSERT(it != nodes_.end(), "evicting untracked page {:#x}", page);
-    ring_.remove(*it->second);
-    nodes_.erase(it);
+    const ChainSlot s = ring_.slotOf(page);
+    HPE_ASSERT(s != kNoSlot, "evicting untracked page {:#x}", page);
+    ring_.erase(s);
 }
 
 void
 RripPolicy::onMigrateIn(PageId page)
 {
-    auto node = std::make_unique<Node>();
-    node->page = page;
-    node->rrpv = cfg_.distantInsertion ? maxRrpv() : maxRrpv() - 1;
-    node->delay = faultNumber_;
-    ring_.pushBack(*node);
-    nodes_.emplace(page, std::move(node));
+    const ChainSlot s = ring_.insert(page);
+    ring_[s] = {cfg_.distantInsertion ? maxRrpv() : maxRrpv() - 1, faultNumber_};
+    ring_.pushBack(s);
 }
 
 } // namespace hpe

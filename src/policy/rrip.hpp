@@ -20,11 +20,9 @@
 #pragma once
 
 #include <cstdint>
-#include <memory>
-#include <unordered_map>
 
-#include "common/intrusive_list.hpp"
 #include "common/types.hpp"
+#include "mem/page_index.hpp"
 #include "policy/eviction_policy.hpp"
 
 namespace hpe {
@@ -60,25 +58,23 @@ class RripPolicy : public EvictionPolicy
     void onMigrateIn(PageId page) override;
     std::string name() const override { return "RRIP"; }
 
-    void reserveCapacity(std::size_t frames) override { nodes_.reserve(frames); }
+    void reserveCapacity(std::size_t frames) override { ring_.reserve(frames); }
 
     std::optional<std::vector<PageId>>
     trackedResidentPages() const override
     {
         std::vector<PageId> pages;
-        pages.reserve(nodes_.size());
-        for (const auto &[page, node] : nodes_)
-            pages.push_back(page);
+        pages.reserve(ring_.size());
+        ring_.forEach([&](ChainSlot s) { pages.push_back(ring_.key(s)); });
         return pages;
     }
 
     /** Resident tracked pages (for tests). */
-    std::size_t size() const { return nodes_.size(); }
+    std::size_t size() const { return ring_.size(); }
 
   private:
-    struct Node : IntrusiveNode
+    struct Prediction
     {
-        PageId page = kInvalidId;
         unsigned rrpv = 0;
         std::uint64_t delay = 0; ///< global fault number at insertion
     };
@@ -87,8 +83,7 @@ class RripPolicy : public EvictionPolicy
 
     RripConfig cfg_;
     std::uint64_t faultNumber_ = 0;
-    IntrusiveList<Node> ring_;
-    std::unordered_map<PageId, std::unique_ptr<Node>> nodes_;
+    DensePageChain<Prediction> ring_; ///< resident pages, oldest first
 };
 
 } // namespace hpe
