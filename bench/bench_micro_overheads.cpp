@@ -42,13 +42,14 @@ BM_ChainSearch(benchmark::State &state)
     chain.endInterval();
     chain.endInterval(); // everything old
 
+    const PageSetChain::Entries &entries = chain.entries();
+    const unsigned old_list = PageSetChain::listOf(Partition::Old);
     for (auto _ : state) {
-        auto &old_list = chain.partition(Partition::Old);
         std::uint64_t comparisons = 0;
-        for (ChainEntry *e = &old_list.back(); e != nullptr;
-             e = old_list.prev(*e)) {
+        for (ChainSlot s = entries.back(old_list); s != kNoSlot;
+             s = entries.prev(s)) {
             ++comparisons;
-            benchmark::DoNotOptimize(e->counter);
+            benchmark::DoNotOptimize(entries[s].counter);
         }
         benchmark::DoNotOptimize(comparisons);
     }

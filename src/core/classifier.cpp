@@ -3,12 +3,12 @@
 namespace hpe {
 
 ClassificationResult
-classify(const HpeConfig &cfg, PageSetChain &chain)
+classify(const HpeConfig &cfg, const PageSetChain &chain)
 {
     ClassificationResult r;
     const std::uint32_t s = cfg.pageSetSize;
 
-    chain.forEach([&](ChainEntry &e) {
+    chain.forEach([&](const ChainEntry &e) {
         if (e.counter == 0)
             return;
         if (e.counter % s == 0) {
@@ -39,7 +39,7 @@ classify(const HpeConfig &cfg, PageSetChain &chain)
     else
         r.category = Category::Regular;
 
-    r.oldPartitionSets = chain.partition(Partition::Old).size();
+    r.oldPartitionSets = chain.partitionSize(Partition::Old);
     return r;
 }
 

@@ -65,6 +65,6 @@ struct ClassificationResult
  * +inf (=> irregular#2); with no small-and-regular counters, ratio2 is
  * +inf when any large-and-regular counter exists, else 0.
  */
-ClassificationResult classify(const HpeConfig &cfg, PageSetChain &chain);
+ClassificationResult classify(const HpeConfig &cfg, const PageSetChain &chain);
 
 } // namespace hpe

@@ -73,8 +73,7 @@ std::uint64_t
 HpePolicy::primaryMaskOf(PageSetId set) const
 {
     // History first (sticky first division), then any live divided primary.
-    auto &self = const_cast<HpePolicy &>(*this);
-    if (ChainEntry *primary = self.chain_.find(set, false);
+    if (const ChainEntry *primary = chain_.find(set, false);
         primary != nullptr && primary->divided)
         return primary->primaryMask;
     // belongsToPrimary() consults history; reconstruct the mask by probing
@@ -114,26 +113,29 @@ HpePolicy::firstResidentPage(const ChainEntry &entry) const
     return std::nullopt;
 }
 
-ChainEntry *
-HpePolicy::mruCSearch(IntrusiveList<ChainEntry> &list)
+const ChainEntry *
+HpePolicy::mruCSearch(Partition p)
 {
     // Search from the MRU end toward LRU, skipping the (possibly jumped)
     // search offset.  A set touched exactly page-set-size times (fully
     // populated, no reuse yet) qualifies; otherwise the smallest counter
     // wins, preferring counters above the page-set size per §IV-D and
     // breaking ties toward the LRU end.
-    HPE_ASSERT(!list.empty(), "MRU-C search on empty partition");
-    ChainEntry *cursor = &list.back();
+    const PageSetChain::Entries &entries = chain_.entries();
+    const unsigned list = PageSetChain::listOf(p);
+    HPE_ASSERT(!entries.empty(list), "MRU-C search on empty partition");
+    ChainSlot cursor = entries.back(list);
     std::uint32_t skip = adjust_.searchOffset();
-    if (skip >= list.size())
-        skip = static_cast<std::uint32_t>(list.size() - 1);
+    if (skip >= entries.length(list))
+        skip = static_cast<std::uint32_t>(entries.length(list) - 1);
     while (skip-- > 0)
-        cursor = list.prev(*cursor);
+        cursor = entries.prev(cursor);
 
-    ChainEntry *min_large = nullptr; // minimal counter > page set size
-    ChainEntry *min_any = nullptr;   // minimal counter overall
+    const ChainEntry *min_large = nullptr; // minimal counter > page set size
+    const ChainEntry *min_any = nullptr;   // minimal counter overall
     std::uint64_t comparisons = 0;
-    for (ChainEntry *e = cursor; e != nullptr; e = list.prev(*e)) {
+    for (ChainSlot s = cursor; s != kNoSlot; s = entries.prev(s)) {
+        const ChainEntry *e = &entries[s];
         ++comparisons;
         if (e->counter == cfg_.pageSetSize) {
             searchComparisons_.sample(static_cast<double>(comparisons));
@@ -152,18 +154,18 @@ HpePolicy::mruCSearch(IntrusiveList<ChainEntry> &list)
     return min_large != nullptr ? min_large : min_any;
 }
 
-ChainEntry *
+const ChainEntry *
 HpePolicy::selectVictimSet()
 {
     // Partition preference (§IV-D): old, then middle, then new.
     for (Partition p : {Partition::Old, Partition::Middle, Partition::New}) {
-        IntrusiveList<ChainEntry> &list = chain_.partition(p);
-        if (list.empty())
+        if (chain_.partitionSize(p) == 0)
             continue;
         victimPartition_ = p;
         if (adjust_.strategy() == Strategy::MruC)
-            return mruCSearch(list);
-        return &list.front(); // LRU position
+            return mruCSearch(p);
+        const PageSetChain::Entries &entries = chain_.entries();
+        return &entries[entries.front(PageSetChain::listOf(p))]; // LRU position
     }
     return nullptr;
 }
@@ -222,7 +224,7 @@ HpePolicy::onEvict(PageId page)
     // "Once all pages in a page set have been evicted, the page set is
     // removed from the page set chain" (§IV-C).
     const bool secondary = !chain_.belongsToPrimary(page);
-    ChainEntry *entry = chain_.find(chain_.setOf(page), secondary);
+    const ChainEntry *entry = chain_.find(chain_.setOf(page), secondary);
     if (entry != nullptr && !firstResidentPage(*entry).has_value()) {
         if (entry == currentVictim_)
             currentVictim_ = nullptr;

@@ -104,10 +104,11 @@ class HpePolicy : public EvictionPolicy
     std::optional<PageId> firstResidentPage(const ChainEntry &entry) const;
 
     /** Run the active strategy to pick the next victim page set. */
-    ChainEntry *selectVictimSet();
+    const ChainEntry *selectVictimSet();
 
-    /** MRU-C search (§IV-D) within @p list, honouring the search offset. */
-    ChainEntry *mruCSearch(IntrusiveList<ChainEntry> &list);
+    /** MRU-C search (§IV-D) within nonempty partition @p p, honouring the
+     *  search offset. */
+    const ChainEntry *mruCSearch(Partition p);
 
     /** The primary bit mask of @p set from history or the live entry. */
     std::uint64_t primaryMaskOf(PageSetId set) const;
@@ -121,8 +122,10 @@ class HpePolicy : public EvictionPolicy
     std::uint64_t faultNumber_ = 0;
     std::optional<ClassificationResult> classification_;
 
-    /** Set currently being drained by evictions, and where it was found. */
-    ChainEntry *currentVictim_ = nullptr;
+    /** Set currently being drained by evictions, and where it was found.
+     *  Chain entries never move while tracked, so the pointer survives
+     *  chain inserts; it is cleared whenever its entry leaves. */
+    const ChainEntry *currentVictim_ = nullptr;
     Partition victimPartition_ = Partition::Old;
 
     std::uint64_t pendingTransferBytes_ = 0;

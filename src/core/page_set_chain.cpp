@@ -20,26 +20,11 @@ PageSetChain::PageSetChain(const HpeConfig &cfg, StatRegistry &stats,
     cfg_.validate();
 }
 
-PageSetChain::~PageSetChain()
-{
-    // Unlink nodes before the unique_ptrs release them.
-    for (auto *list : {&old_, &middle_, &new_})
-        while (!list->empty())
-            list->remove(list->front());
-}
-
 void
 PageSetChain::emitChainOp(std::uint8_t op, PageSetId set, std::uint64_t value)
 {
     if (sink_ != nullptr)
         sink_->emit(trace::EventKind::ChainOp, op, set, value);
-}
-
-ChainEntry *
-PageSetChain::find(PageSetId set, bool secondary)
-{
-    auto it = entries_.find(ChainEntry::keyOf(set, secondary));
-    return it == entries_.end() ? nullptr : it->second.get();
 }
 
 bool
@@ -53,42 +38,41 @@ PageSetChain::belongsToPrimary(PageId page) const
     // divided sets), then any live divided primary on the chain.
     if (auto it = history_.find(set); it != history_.end())
         return (it->second & bit) != 0;
-    auto eit = entries_.find(ChainEntry::keyOf(set, false));
-    if (eit != entries_.end() && eit->second->divided)
-        return (eit->second->primaryMask & bit) != 0;
+    if (const ChainEntry *primary = find(set, false);
+        primary != nullptr && primary->divided)
+        return (primary->primaryMask & bit) != 0;
     return true;
 }
 
-ChainEntry &
-PageSetChain::create(PageSetId set, bool secondary)
+ChainSlot
+PageSetChain::create(PageSetId set, bool secondary, Partition part)
 {
-    auto entry = std::make_unique<ChainEntry>();
-    ChainEntry &ref = *entry;
-    ref.set = set;
-    ref.secondary = secondary;
-    ref.part = Partition::New;
+    const ChainSlot s = entries_.insert(ChainEntry::keyOf(set, secondary));
+    ChainEntry &entry = entries_[s];
+    entry.set = set;
+    entry.secondary = secondary;
+    entry.part = part;
     // A re-inserted primary inherits its sticky first-division result so
     // later touches keep routing to the same halves (§IV-C).
     if (!secondary) {
         if (auto it = history_.find(set); it != history_.end()) {
-            ref.divided = true;
-            ref.primaryMask = it->second;
+            entry.divided = true;
+            entry.primaryMask = it->second;
         }
     }
-    new_.pushBack(ref);
-    entries_.emplace(ChainEntry::keyOf(set, secondary), std::move(entry));
     ++insertions_;
     emitChainOp(static_cast<std::uint8_t>(trace::ChainOpKind::Insert), set,
                 secondary ? 1 : 0);
-    return ref;
+    return s;
 }
 
 void
-PageSetChain::promoteToNew(ChainEntry &entry)
+PageSetChain::promoteToNew(ChainSlot s)
 {
-    partition(entry.part).remove(entry);
+    ChainEntry &entry = entries_[s];
+    entries_.remove(s, listOf(entry.part));
     entry.part = Partition::New;
-    new_.pushBack(entry);
+    entries_.pushBack(s, listOf(Partition::New));
     ++movements_;
     if (sink_ != nullptr)
         sink_->emit(trace::EventKind::Promotion,
@@ -105,12 +89,14 @@ PageSetChain::touch(PageId page, std::uint32_t count, bool is_fault)
     const bool secondary = !belongsToPrimary(page);
 
     TouchResult result;
-    result.entry = find(set, secondary);
-    if (result.entry == nullptr) {
-        result.entry = &create(set, secondary);
+    ChainSlot s = entries_.slotOf(ChainEntry::keyOf(set, secondary));
+    if (s == kNoSlot) {
+        s = create(set, secondary, Partition::New);
+        entries_.pushBack(s, listOf(Partition::New));
         result.created = true;
     }
-    ChainEntry &e = *result.entry;
+    ChainEntry &e = entries_[s];
+    result.entry = &e;
 
     const bool was_over_threshold = e.counter >= cfg_.divisionThreshold;
     e.counter = std::min(e.counter + count, cfg_.counterMax);
@@ -137,50 +123,34 @@ PageSetChain::touch(PageId page, std::uint32_t count, bool is_fault)
     // Movement (§IV-C note 2): once in the new partition, further touches
     // in the same interval cause no movement.
     if (e.part != Partition::New)
-        promoteToNew(e);
+        promoteToNew(s);
 
     return result;
 }
 
-ChainEntry &
+void
 PageSetChain::insertCold(PageId page)
 {
     const PageSetId set = setOf(page);
     const std::uint32_t offset = offsetOf(page);
     const bool secondary = !belongsToPrimary(page);
 
-    ChainEntry *entry = find(set, secondary);
-    if (entry == nullptr) {
-        // Mirror create(), but land at the LRU end of the old partition:
-        // a set that exists only through speculation has shown no recency
-        // at all, so it must not displace tracked sets from the eviction
-        // order.
-        auto node = std::make_unique<ChainEntry>();
-        entry = node.get();
-        entry->set = set;
-        entry->secondary = secondary;
-        entry->part = Partition::Old;
-        if (!secondary) {
-            if (auto it = history_.find(set); it != history_.end()) {
-                entry->divided = true;
-                entry->primaryMask = it->second;
-            }
-        }
-        old_.pushFront(*entry);
-        entries_.emplace(ChainEntry::keyOf(set, secondary), std::move(node));
-        ++insertions_;
-        emitChainOp(static_cast<std::uint8_t>(trace::ChainOpKind::Insert), set,
-                    secondary ? 1 : 0);
+    ChainSlot s = entries_.slotOf(ChainEntry::keyOf(set, secondary));
+    if (s == kNoSlot) {
+        // Land at the LRU end of the old partition: a set that exists
+        // only through speculation has shown no recency at all, so it
+        // must not displace tracked sets from the eviction order.
+        s = create(set, secondary, Partition::Old);
+        entries_.pushFront(s, listOf(Partition::Old));
     }
     // The page is resident now, so the bit-vector records it (victim
     // search walks these bits); the counter and the entry's position are
     // untouched — speculation earns no frequency and no recency.
-    entry->bitVec |= std::uint64_t{1} << offset;
+    entries_[s].bitVec |= std::uint64_t{1} << offset;
     if (sink_ != nullptr)
         sink_->emit(trace::EventKind::Demotion,
                     static_cast<std::uint8_t>(trace::PromotionScope::HpePageSet),
                     set, 1);
-    return *entry;
 }
 
 void
@@ -188,18 +158,21 @@ PageSetChain::endInterval()
 {
     // P1 <- P2: the middle partition ages into old; P2 <- tail: the sets of
     // the finished interval become the middle partition.
-    for (ChainEntry &e : middle_)
-        e.part = Partition::Old;
-    for (ChainEntry &e : new_)
-        e.part = Partition::Middle;
-    old_.spliceBack(middle_);
-    middle_.spliceBack(new_);
+    const unsigned old_list = listOf(Partition::Old);
+    const unsigned middle_list = listOf(Partition::Middle);
+    const unsigned new_list = listOf(Partition::New);
+    entries_.forEach([&](ChainSlot s) { entries_[s].part = Partition::Old; },
+                     middle_list);
+    entries_.forEach([&](ChainSlot s) { entries_[s].part = Partition::Middle; },
+                     new_list);
+    entries_.spliceBack(old_list, middle_list);
+    entries_.spliceBack(middle_list, new_list);
     emitChainOp(static_cast<std::uint8_t>(trace::ChainOpKind::Rotate), 0,
                 entries_.size());
 }
 
 void
-PageSetChain::remove(ChainEntry &entry)
+PageSetChain::remove(const ChainEntry &entry)
 {
     if (entry.divided && !entry.secondary) {
         // Record only the first division result (sticky thereafter).
@@ -207,29 +180,10 @@ PageSetChain::remove(ChainEntry &entry)
     }
     emitChainOp(static_cast<std::uint8_t>(trace::ChainOpKind::Remove), entry.set,
                 entry.secondary ? 1 : 0);
-    partition(entry.part).remove(entry);
-    const auto erased = entries_.erase(ChainEntry::keyOf(entry.set, entry.secondary));
-    HPE_ASSERT(erased == 1, "chain entry {:#x} missing from index", entry.set);
-}
-
-IntrusiveList<ChainEntry> &
-PageSetChain::partition(Partition p)
-{
-    switch (p) {
-      case Partition::Old:
-        return old_;
-      case Partition::Middle:
-        return middle_;
-      case Partition::New:
-        return new_;
-    }
-    panic("bad partition");
-}
-
-const IntrusiveList<ChainEntry> &
-PageSetChain::partition(Partition p) const
-{
-    return const_cast<PageSetChain *>(this)->partition(p);
+    const ChainSlot s = entries_.slotOf(ChainEntry::keyOf(entry.set, entry.secondary));
+    HPE_ASSERT(s != kNoSlot && &entries_[s] == &entry,
+               "chain entry {:#x} missing from index", entry.set);
+    entries_.erase(s, listOf(entry.part));
 }
 
 } // namespace hpe

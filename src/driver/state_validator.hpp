@@ -204,19 +204,18 @@ class StateValidator
                                    Partition::New};
         std::size_t walked = 0;
         for (Partition p : parts) {
-            for (const ChainEntry &entry : chain.partition(p)) {
+            chain.forEachIn(p, [&](const ChainEntry &entry) {
                 ++walked;
                 if (entry.part != p)
                     fail(strformat("HPE chain entry for set {:#x} tagged "
                                    "partition {} but linked in partition {}",
                                    entry.set, static_cast<int>(entry.part),
                                    static_cast<int>(p)));
-                if (ChainEntry *found = chain.find(entry.set, entry.secondary);
-                    found != &entry)
+                if (chain.find(entry.set, entry.secondary) != &entry)
                     fail(strformat("HPE chain index lookup of set {:#x} "
                                    "does not return the linked entry",
                                    entry.set));
-            }
+            });
         }
         if (walked != chain.size())
             fail(strformat("HPE chain lists link {} entries, index holds {}",

@@ -23,8 +23,7 @@ class ChainTest : public ::testing::Test
     partitionSets(Partition p)
     {
         std::vector<PageSetId> out;
-        for (ChainEntry &e : chain_.partition(p))
-            out.push_back(e.set);
+        chain_.forEachIn(p, [&](const ChainEntry &e) { out.push_back(e.set); });
         return out;
     }
 
@@ -59,7 +58,7 @@ TEST_F(ChainTest, HitsDoNotSetBitVector)
 
 TEST_F(ChainTest, CounterSaturates)
 {
-    ChainEntry *e = chain_.touch(0, 60, true).entry;
+    const ChainEntry *e = chain_.touch(0, 60, true).entry;
     chain_.touch(0, 60, true);
     EXPECT_EQ(e->counter, cfg_.counterMax);
 }
@@ -82,7 +81,7 @@ TEST_F(ChainTest, IntervalRotationMovesPartitions)
     chain_.endInterval();
     EXPECT_EQ(partitionSets(Partition::Old), (std::vector<PageSetId>{1}));
     EXPECT_EQ(partitionSets(Partition::Middle), (std::vector<PageSetId>{2}));
-    EXPECT_TRUE(chain_.partition(Partition::New).empty());
+    EXPECT_EQ(chain_.partitionSize(Partition::New), 0u);
 }
 
 TEST_F(ChainTest, OldAbsorbsMiddlePreservingRecencyOrder)
@@ -133,7 +132,7 @@ TEST_F(ChainTest, NoDivisionWhenFullyPopulated)
 {
     for (std::uint32_t off = 0; off < 16; ++off)
         chain_.touch(off, 4, true); // counter 64, all bits set
-    ChainEntry *e = chain_.find(0, false);
+    const ChainEntry *e = chain_.find(0, false);
     ASSERT_NE(e, nullptr);
     EXPECT_TRUE(e->counter == cfg_.counterMax);
     EXPECT_FALSE(e->divided);
@@ -166,7 +165,7 @@ TEST_F(ChainTest, HistoryRecordsFirstDivisionOnRemoval)
     for (std::uint32_t off = 0; off < 16; off += 2)
         chain_.touch(off, 1, true);
     chain_.touch(0, 60, false);
-    ChainEntry *primary = chain_.find(0, false);
+    const ChainEntry *primary = chain_.find(0, false);
     chain_.remove(*primary);
     EXPECT_EQ(chain_.historySize(), 1u);
     // After removal, the history still routes odd pages to the secondary.
@@ -216,7 +215,7 @@ TEST_F(ChainTest, SecondaryNeverDivides)
     chain_.touch(0, 60, false); // divide
     chain_.touch(1, 1, true);   // secondary, one odd page faulted
     chain_.touch(1, 63, false); // saturate the secondary
-    ChainEntry *sec = chain_.find(0, true);
+    const ChainEntry *sec = chain_.find(0, true);
     ASSERT_NE(sec, nullptr);
     EXPECT_FALSE(sec->divided);
 }
@@ -229,7 +228,7 @@ TEST_F(ChainTest, ForEachVisitsAllPartitions)
     chain_.endInterval();
     chain_.touch(16 * 3, 1, true);
     int n = 0;
-    chain_.forEach([&](ChainEntry &) { ++n; });
+    chain_.forEach([&](const ChainEntry &) { ++n; });
     EXPECT_EQ(n, 3);
 }
 

@@ -21,17 +21,19 @@ namespace {
 
 /** Structural invariants that must hold after any operation sequence. */
 void
-checkChainInvariants(PageSetChain &chain)
+checkChainInvariants(const PageSetChain &chain)
 {
     std::size_t linked = 0;
     std::unordered_set<std::uint64_t> seen;
     for (Partition p : {Partition::Old, Partition::Middle, Partition::New}) {
-        for (ChainEntry &e : chain.partition(p)) {
+        chain.forEachIn(p, [&](const ChainEntry &e) {
             ++linked;
             // Every entry knows which partition list holds it.
             ASSERT_EQ(e.part, p);
             // No duplicate (set, secondary) keys anywhere on the chain.
             ASSERT_TRUE(seen.insert(ChainEntry::keyOf(e.set, e.secondary)).second);
+            // The index resolves the key to this very entry.
+            ASSERT_EQ(chain.find(e.set, e.secondary), &e);
             // Counters never exceed the ceiling.
             ASSERT_LE(e.counter, HpeConfig{}.counterMax);
             // A divided primary's mask is a nonempty strict subset.
@@ -39,7 +41,7 @@ checkChainInvariants(PageSetChain &chain)
                 ASSERT_NE(e.primaryMask, 0u);
                 ASSERT_NE(e.primaryMask, 0xFFFFu);
             }
-        }
+        });
     }
     // The index and the three lists agree on the population.
     ASSERT_EQ(linked, chain.size());
@@ -67,7 +69,7 @@ TEST_P(ChainFuzzTest, InvariantsSurviveRandomOperations)
             // Remove a random entry if one exists.
             const PageSetId set = rng.below(40);
             const bool secondary = rng.chance(0.2);
-            if (ChainEntry *e = chain.find(set, secondary); e != nullptr)
+            if (const ChainEntry *e = chain.find(set, secondary); e != nullptr)
                 chain.remove(*e);
         } else {
             checkChainInvariants(chain);

@@ -1,7 +1,7 @@
 /**
  * @file
- * Unit tests for the common module: intrusive list, RNG, saturating
- * counter, event queue, formatting, stats, and the table printer.
+ * Unit tests for the common module: RNG, saturating counter, event
+ * queue, formatting, stats, and the table printer.
  */
 
 #include <gtest/gtest.h>
@@ -11,7 +11,6 @@
 
 #include "common/event_queue.hpp"
 #include "common/format.hpp"
-#include "common/intrusive_list.hpp"
 #include "common/rng.hpp"
 #include "common/sat_counter.hpp"
 #include "common/stats.hpp"
@@ -20,141 +19,6 @@
 
 namespace hpe {
 namespace {
-
-struct Node : IntrusiveNode
-{
-    explicit Node(int v) : value(v) {}
-    int value;
-};
-
-TEST(IntrusiveList, StartsEmpty)
-{
-    IntrusiveList<Node> list;
-    EXPECT_TRUE(list.empty());
-    EXPECT_EQ(list.size(), 0u);
-}
-
-TEST(IntrusiveList, PushBackOrdersFrontToBack)
-{
-    IntrusiveList<Node> list;
-    Node a(1), b(2), c(3);
-    list.pushBack(a);
-    list.pushBack(b);
-    list.pushBack(c);
-    EXPECT_EQ(list.size(), 3u);
-    EXPECT_EQ(list.front().value, 1);
-    EXPECT_EQ(list.back().value, 3);
-}
-
-TEST(IntrusiveList, PushFrontPrepends)
-{
-    IntrusiveList<Node> list;
-    Node a(1), b(2);
-    list.pushBack(a);
-    list.pushFront(b);
-    EXPECT_EQ(list.front().value, 2);
-}
-
-TEST(IntrusiveList, RemoveUnlinksNode)
-{
-    IntrusiveList<Node> list;
-    Node a(1), b(2), c(3);
-    list.pushBack(a);
-    list.pushBack(b);
-    list.pushBack(c);
-    list.remove(b);
-    EXPECT_FALSE(b.linked());
-    EXPECT_EQ(list.size(), 2u);
-    EXPECT_EQ(list.next(a), &c);
-}
-
-TEST(IntrusiveList, MoveToBackReorders)
-{
-    IntrusiveList<Node> list;
-    Node a(1), b(2), c(3);
-    list.pushBack(a);
-    list.pushBack(b);
-    list.pushBack(c);
-    list.moveToBack(a);
-    EXPECT_EQ(list.front().value, 2);
-    EXPECT_EQ(list.back().value, 1);
-}
-
-TEST(IntrusiveList, IterationVisitsInOrder)
-{
-    IntrusiveList<Node> list;
-    Node a(1), b(2), c(3);
-    list.pushBack(a);
-    list.pushBack(b);
-    list.pushBack(c);
-    std::vector<int> seen;
-    for (Node &n : list)
-        seen.push_back(n.value);
-    EXPECT_EQ(seen, (std::vector<int>{1, 2, 3}));
-}
-
-TEST(IntrusiveList, PrevNextNavigation)
-{
-    IntrusiveList<Node> list;
-    Node a(1), b(2);
-    list.pushBack(a);
-    list.pushBack(b);
-    EXPECT_EQ(list.prev(a), nullptr);
-    EXPECT_EQ(list.next(a), &b);
-    EXPECT_EQ(list.prev(b), &a);
-    EXPECT_EQ(list.next(b), nullptr);
-}
-
-TEST(IntrusiveList, SpliceBackMovesAllPreservingOrder)
-{
-    IntrusiveList<Node> x, y;
-    Node a(1), b(2), c(3), d(4);
-    x.pushBack(a);
-    x.pushBack(b);
-    y.pushBack(c);
-    y.pushBack(d);
-    x.spliceBack(y);
-    EXPECT_TRUE(y.empty());
-    EXPECT_EQ(x.size(), 4u);
-    std::vector<int> seen;
-    for (Node &n : x)
-        seen.push_back(n.value);
-    EXPECT_EQ(seen, (std::vector<int>{1, 2, 3, 4}));
-}
-
-TEST(IntrusiveList, SpliceBackFromEmptyIsNoop)
-{
-    IntrusiveList<Node> x, y;
-    Node a(1);
-    x.pushBack(a);
-    x.spliceBack(y);
-    EXPECT_EQ(x.size(), 1u);
-}
-
-TEST(IntrusiveList, SpliceBackIntoEmpty)
-{
-    IntrusiveList<Node> x, y;
-    Node a(1), b(2);
-    y.pushBack(a);
-    y.pushBack(b);
-    x.spliceBack(y);
-    EXPECT_EQ(x.size(), 2u);
-    EXPECT_EQ(x.front().value, 1);
-    EXPECT_EQ(x.back().value, 2);
-}
-
-TEST(IntrusiveList, InsertBefore)
-{
-    IntrusiveList<Node> list;
-    Node a(1), c(3), b(2);
-    list.pushBack(a);
-    list.pushBack(c);
-    list.insertBefore(c, b);
-    std::vector<int> seen;
-    for (Node &n : list)
-        seen.push_back(n.value);
-    EXPECT_EQ(seen, (std::vector<int>{1, 2, 3}));
-}
 
 TEST(Rng, DeterministicForEqualSeeds)
 {

@@ -1,11 +1,13 @@
 /**
  * @file
  * Unit tests for the mem module: set-associative array, data caches,
- * FR-FCFS DRAM, page table, and frame allocator.
+ * FR-FCFS DRAM, page table, frame allocator, and the DensePageChain slot
+ * arena.
  */
 
 #include <gtest/gtest.h>
 
+#include <iterator>
 #include <variant>
 #include <vector>
 
@@ -13,6 +15,7 @@
 #include "common/stats.hpp"
 #include "mem/data_cache.hpp"
 #include "mem/dram.hpp"
+#include "mem/page_index.hpp"
 #include "mem/page_table.hpp"
 #include "mem/set_assoc.hpp"
 
@@ -179,6 +182,200 @@ TEST(FrameAllocator, AscendingFirstHandout)
     FrameAllocator alloc(3);
     EXPECT_EQ(alloc.allocate(), 0u);
     EXPECT_EQ(alloc.allocate(), 1u);
+}
+
+/** Keys of @p list front to back. */
+template <typename Chain>
+std::vector<PageId>
+keysOf(const Chain &chain, unsigned list = 0)
+{
+    std::vector<PageId> keys;
+    chain.forEach([&](ChainSlot s) { keys.push_back(chain.key(s)); }, list);
+    return keys;
+}
+
+TEST(DensePageChain, StartsEmpty)
+{
+    DensePageChain<> chain;
+    EXPECT_TRUE(chain.empty());
+    EXPECT_EQ(chain.size(), 0u);
+    EXPECT_EQ(chain.front(), kNoSlot);
+    EXPECT_EQ(chain.back(), kNoSlot);
+    EXPECT_FALSE(chain.contains(7));
+    EXPECT_EQ(chain.slotOf(7), kNoSlot);
+}
+
+TEST(DensePageChain, InsertedSlotIsTrackedButUnlinked)
+{
+    DensePageChain<int> chain;
+    const ChainSlot s = chain.insert(5);
+    EXPECT_EQ(chain.slotOf(5), s);
+    EXPECT_EQ(chain.key(s), 5u);
+    EXPECT_EQ(chain[s], 0);
+    EXPECT_EQ(chain.size(), 1u);
+    EXPECT_TRUE(chain.empty());
+    chain.pushBack(s);
+    EXPECT_EQ(chain.length(), 1u);
+    EXPECT_EQ(chain.front(), s);
+    EXPECT_EQ(chain.back(), s);
+}
+
+TEST(DensePageChain, PushFrontAndBackOrderTheList)
+{
+    DensePageChain<> chain;
+    chain.pushBack(chain.insert(1));
+    chain.pushBack(chain.insert(2));
+    chain.pushFront(chain.insert(3));
+    EXPECT_EQ(keysOf(chain), (std::vector<PageId>{3, 1, 2}));
+    EXPECT_EQ(chain.key(chain.front()), 3u);
+    EXPECT_EQ(chain.key(chain.back()), 2u);
+}
+
+TEST(DensePageChain, InsertBeforeAndNavigationAtBothEnds)
+{
+    DensePageChain<> chain;
+    const ChainSlot a = chain.insert(1);
+    const ChainSlot c = chain.insert(3);
+    chain.pushBack(a);
+    chain.pushBack(c);
+    const ChainSlot b = chain.insert(2);
+    chain.insertBefore(c, b);
+    const ChainSlot z = chain.insert(0);
+    chain.insertBefore(a, z); // before the front: becomes the new front
+    EXPECT_EQ(keysOf(chain), (std::vector<PageId>{0, 1, 2, 3}));
+    EXPECT_EQ(chain.front(), z);
+    EXPECT_EQ(chain.prev(z), kNoSlot);
+    EXPECT_EQ(chain.next(z), a);
+    EXPECT_EQ(chain.prev(b), a);
+    EXPECT_EQ(chain.next(b), c);
+    EXPECT_EQ(chain.back(), c);
+    EXPECT_EQ(chain.next(c), kNoSlot);
+    EXPECT_EQ(chain.prev(c), b);
+}
+
+TEST(DensePageChain, RemoveUnlinksButKeepsTheSlot)
+{
+    DensePageChain<int> chain;
+    const ChainSlot a = chain.insert(1);
+    const ChainSlot b = chain.insert(2);
+    chain.pushBack(a);
+    chain.pushBack(b);
+    chain[a] = 42;
+    chain.remove(a);
+    EXPECT_EQ(keysOf(chain), (std::vector<PageId>{2}));
+    EXPECT_EQ(chain.slotOf(1), a);
+    EXPECT_EQ(chain[a], 42);
+    chain.pushBack(a);
+    EXPECT_EQ(keysOf(chain), (std::vector<PageId>{2, 1}));
+}
+
+TEST(DensePageChain, MoveToBackKeepsTheSlotSoParkedHandlesFollow)
+{
+    DensePageChain<int> chain;
+    for (PageId p = 1; p <= 4; ++p)
+        chain.pushBack(chain.insert(p));
+    const ChainSlot hand = chain.slotOf(2); // a handle parked on page 2
+    chain[hand] = 7;
+    chain.moveToBack(hand);
+    EXPECT_EQ(keysOf(chain), (std::vector<PageId>{1, 3, 4, 2}));
+    EXPECT_EQ(chain.slotOf(2), hand);
+    EXPECT_EQ(chain.key(hand), 2u);
+    EXPECT_EQ(chain[hand], 7);
+    EXPECT_EQ(chain.back(), hand);
+    EXPECT_EQ(chain.next(hand), kNoSlot);
+    chain.moveToBack(hand); // already at the back: no change
+    EXPECT_EQ(keysOf(chain), (std::vector<PageId>{1, 3, 4, 2}));
+}
+
+TEST(DensePageChain, SpliceBackBetweenListsSharingOneArena)
+{
+    DensePageChain<NoPayload, 3> chain;
+    for (PageId p : {1, 2})
+        chain.pushBack(chain.insert(p), 0);
+    for (PageId p : {3, 4})
+        chain.pushBack(chain.insert(p), 1);
+    chain.spliceBack(0, 2); // from an empty list: no-op
+    EXPECT_EQ(keysOf(chain, 0), (std::vector<PageId>{1, 2}));
+    chain.spliceBack(0, 1);
+    EXPECT_EQ(keysOf(chain, 0), (std::vector<PageId>{1, 2, 3, 4}));
+    EXPECT_EQ(chain.length(0), 4u);
+    EXPECT_TRUE(chain.empty(1));
+    EXPECT_EQ(chain.front(1), kNoSlot);
+    chain.spliceBack(2, 0); // into an empty list
+    EXPECT_EQ(keysOf(chain, 2), (std::vector<PageId>{1, 2, 3, 4}));
+    EXPECT_TRUE(chain.empty(0));
+    EXPECT_EQ(chain.prev(chain.front(2)), kNoSlot);
+    EXPECT_EQ(chain.next(chain.back(2)), kNoSlot);
+    // The spliced slots stay linked: a removal in the middle relinks.
+    chain.remove(chain.slotOf(3), 2);
+    EXPECT_EQ(keysOf(chain, 2), (std::vector<PageId>{1, 2, 4}));
+    EXPECT_EQ(chain.size(), 4u);
+}
+
+TEST(DensePageChain, ErasedSlotsAreReusedWithAFreshPayload)
+{
+    DensePageChain<int> chain;
+    const ChainSlot a = chain.insert(1);
+    const ChainSlot b = chain.insert(2);
+    chain.pushBack(a);
+    chain.pushBack(b);
+    chain[a] = 9;
+    chain.erase(a);
+    EXPECT_FALSE(chain.contains(1));
+    EXPECT_EQ(chain.size(), 1u);
+    EXPECT_EQ(keysOf(chain), (std::vector<PageId>{2}));
+    const ChainSlot c = chain.insert(3);
+    EXPECT_EQ(c, a);
+    EXPECT_EQ(chain[c], 0);
+    EXPECT_EQ(chain.key(c), 3u);
+    chain.pushFront(c);
+    EXPECT_EQ(keysOf(chain), (std::vector<PageId>{3, 2}));
+}
+
+TEST(DensePageChain, KeysAtOrAboveTheDenseLimit)
+{
+    DensePageChain<int> chain;
+    const PageId keys[] = {kDensePageLimit, 3, (PageId{1} << 40) + 5,
+                           kDensePageLimit - 1};
+    for (PageId k : keys) {
+        const ChainSlot s = chain.insert(k);
+        chain[s] = static_cast<int>(k & 0xff);
+        chain.pushBack(s);
+    }
+    EXPECT_EQ(keysOf(chain), (std::vector<PageId>(std::begin(keys), std::end(keys))));
+    for (PageId k : keys) {
+        ASSERT_NE(chain.slotOf(k), kNoSlot);
+        EXPECT_EQ(chain.key(chain.slotOf(k)), k);
+        EXPECT_EQ(chain[chain.slotOf(k)], static_cast<int>(k & 0xff));
+    }
+    EXPECT_FALSE(chain.contains(kDensePageLimit + 1));
+    chain.erase(chain.slotOf(keys[2]));
+    EXPECT_FALSE(chain.contains(keys[2]));
+    EXPECT_EQ(chain.size(), 3u);
+}
+
+TEST(DensePageChain, PayloadReferencesSurviveArenaGrowth)
+{
+    DensePageChain<int> chain;
+    const ChainSlot first = chain.insert(0);
+    int &payload = chain[first];
+    payload = 11;
+    for (PageId p = 1; p < 5000; ++p)
+        chain.pushBack(chain.insert(p));
+    EXPECT_EQ(&chain[first], &payload);
+    EXPECT_EQ(payload, 11);
+}
+
+TEST(DensePageChain, ForEachMayEraseTheVisitedSlot)
+{
+    DensePageChain<> chain;
+    for (PageId p = 0; p < 6; ++p)
+        chain.pushBack(chain.insert(p));
+    chain.forEach([&](ChainSlot s) {
+        if (chain.key(s) % 2 == 0)
+            chain.erase(s);
+    });
+    EXPECT_EQ(keysOf(chain), (std::vector<PageId>{1, 3, 5}));
 }
 
 class DramTest : public ::testing::Test

@@ -262,7 +262,7 @@ TEST(DivisionThreshold, RelaxedThresholdDividesEarlier)
             chain.touch(p, 1, true);
         for (PageId p = 0; p < 16; p += 2)
             chain.touch(p, 3, false);
-        ChainEntry *e = chain.find(0, false);
+        const ChainEntry *e = chain.find(0, false);
         return e != nullptr && e->divided;
     };
     EXPECT_FALSE(run(strict, stats_strict));   // 32 < 64: no division

@@ -268,7 +268,7 @@ TEST(PrefetchPlacement, HpeSpeculationEntersOldPartitionCold)
     HpePolicy policy(cfg, stats);
     UvmMemoryManager uvm(8, policy, stats, "uvm");
     EXPECT_EQ(uvm.prefetchIn(100), PrefetchOutcome::Prefetched);
-    ChainEntry *entry = policy.chain().find(policy.chain().setOf(100), false);
+    const ChainEntry *entry = policy.chain().find(policy.chain().setOf(100), false);
     ASSERT_NE(entry, nullptr);
     EXPECT_EQ(entry->part, Partition::Old);
     EXPECT_EQ(entry->counter, 0u); // no frequency credit for speculation
