@@ -10,6 +10,14 @@
  * can reorder across pages, so MIN tracks each page's consumption of its
  * own canonical positions — an oracle-guided approximation matching the
  * paper's "similar to Belady's MIN" wording.
+ *
+ * Victims come from two indexes over the resident pages rather than a
+ * scan: a bitmap over resident-list positions marking the pages never
+ * used again (the lowest set bit is the first such page in resident-list
+ * order, the victim a scan would stop at), and a lazy-deletion max-heap
+ * of (next use, slot) for the rest.  Finite next uses are unique — every
+ * trace position belongs to one page — so the heap top is the strict
+ * maximum.
  */
 
 #pragma once
@@ -41,6 +49,8 @@ class MinPolicy : public EvictionPolicy
     void onMigrateIn(PageId page) override;
     std::string name() const override { return "Ideal"; }
 
+    void reserveCapacity(std::size_t frames) override;
+
     std::optional<std::vector<PageId>> trackedResidentPages() const override;
 
   private:
@@ -53,6 +63,15 @@ class MinPolicy : public EvictionPolicy
     /** Advance the oracle one reference and refresh the page's next-use. */
     void observe(PageId page);
 
+    /** Re-index resident slot @p s after its next use was (re)set. */
+    void track(ChainSlot s);
+
+    /** Push the heap entry of resident slot @p s (finite next use). */
+    void push(ChainSlot s);
+
+    /** Drop every stale heap entry and re-heapify the live ones. */
+    void rebuild();
+
     struct PageState
     {
         std::vector<std::uint64_t> positions; ///< canonical reference order
@@ -61,12 +80,39 @@ class MinPolicy : public EvictionPolicy
         std::uint32_t residentPos = kNotResident; ///< index in resident_
     };
 
+    /** Max-heap entry; stale once its page leaves or its next use moves. */
+    struct HeapEntry
+    {
+        std::uint64_t nextUse;
+        ChainSlot slot; ///< MIN never erases a slot, so it stays the page's
+    };
+
+    /** Bits over resident_ positions with a two-level lowest-bit query. */
+    class PositionBits
+    {
+      public:
+        static constexpr std::size_t kNone = SIZE_MAX;
+
+        void assign(std::size_t pos, bool on);
+
+        /** @return the lowest set position, or kNone. */
+        std::size_t lowest() const;
+
+      private:
+        std::vector<std::uint64_t> words_;
+        std::vector<std::uint64_t> summary_; ///< bit w: words_[w] != 0
+    };
+
     TracePtr trace_;
     /** Every page of the trace or observed since; the arena's lists are
      *  unused. */
     DensePageChain<PageState> pages_;
-    /** Dense resident-slot list for victim scans (swap-remove). */
+    /** Dense resident-slot list (swap-remove). */
     std::vector<ChainSlot> resident_;
+    /** Set at resident_ positions whose page is never used again. */
+    PositionBits never_;
+    /** Every resident page with a finite next use has a live entry. */
+    std::vector<HeapEntry> heap_;
 };
 
 } // namespace hpe
