@@ -8,11 +8,14 @@
  *    worst case for the HIR-batch chain update);
  *  - the one-shot classification traversal (the paper's 16.7 us on KMN);
  *  - HIR hit recording and flush;
- *  - per-policy steady-state paging throughput.
+ *  - per-policy steady-state paging throughput;
+ *  - the victim search of Ideal (MIN) and RRIP against the resident-set
+ *    size, so its scaling reads as a number.
  */
 
 #include <benchmark/benchmark.h>
 
+#include <chrono>
 #include <memory>
 
 #include "common/rng.hpp"
@@ -21,6 +24,7 @@
 #include "core/hir_cache.hpp"
 #include "core/hpe_policy.hpp"
 #include "core/page_set_chain.hpp"
+#include "mem/page_index.hpp"
 #include "sim/paging_simulator.hpp"
 #include "sim/policy_factory.hpp"
 #include "workload/apps.hpp"
@@ -142,6 +146,70 @@ BM_PagingThroughput(benchmark::State &state)
 BENCHMARK(BM_PagingThroughput)
     ->DenseRange(static_cast<int>(PolicyKind::Lru),
                  static_cast<int>(PolicyKind::Hpe));
+
+/**
+ * One selectVictim() call at range(1) resident pages, timed alone.
+ * Uniform references over twice the frames fault about every other time;
+ * the replay between victims (hits, faults, evictions, migrations) runs
+ * off the clock, as does each restart when the trace runs out.  The
+ * timestamps add a constant of a few tens of ns per call.
+ */
+void
+BM_SelectVictim(benchmark::State &state)
+{
+    using Clock = std::chrono::steady_clock;
+    const auto kind = static_cast<PolicyKind>(state.range(0));
+    const auto frames = static_cast<std::size_t>(state.range(1));
+    Rng rng(7);
+    Trace trace("VIC", "victim-search", "bench", PatternType::I);
+    for (std::size_t i = 0; i < 16 * frames; ++i)
+        trace.add(rng.below(2 * frames));
+
+    std::unique_ptr<StatRegistry> stats;
+    std::unique_ptr<EvictionPolicy> policy;
+    DensePageSet resident;
+    std::size_t next = 0;
+    const auto restart = [&] {
+        policy.reset();
+        stats = std::make_unique<StatRegistry>();
+        policy = makePolicy(kind, trace, *stats);
+        policy->reserveCapacity(frames);
+        resident.clear();
+        next = 0;
+    };
+    restart();
+    for (auto _ : state) {
+        for (;;) {
+            if (next == trace.size())
+                restart();
+            const PageId page = trace.refs()[next++].page;
+            if (resident.contains(page)) {
+                policy->onHit(page);
+                continue;
+            }
+            policy->onFault(page);
+            if (resident.size() == frames) {
+                const auto t0 = Clock::now();
+                const PageId victim = policy->selectVictim();
+                state.SetIterationTime(
+                    std::chrono::duration<double>(Clock::now() - t0).count());
+                resident.erase(victim);
+                policy->onEvict(victim);
+                resident.insert(page);
+                policy->onMigrateIn(page);
+                break;
+            }
+            resident.insert(page);
+            policy->onMigrateIn(page);
+        }
+    }
+    state.SetLabel(policyKindName(kind));
+}
+BENCHMARK(BM_SelectVictim)
+    ->ArgsProduct({{static_cast<int>(PolicyKind::Ideal),
+                    static_cast<int>(PolicyKind::Rrip)},
+                   {1 << 10, 1 << 14, 1 << 16}})
+    ->UseManualTime();
 
 } // namespace
 
