@@ -1,6 +1,5 @@
 #include "api/api.hpp"
 
-#include <cstdlib>
 #include <sstream>
 
 #include "api/registry.hpp"
@@ -23,15 +22,6 @@ fnv1aBytes(const std::string &bytes)
         hash *= 1099511628211ULL;
     }
     return hash;
-}
-
-/** Is @p s entirely decimal digits (the legacy --prefetch N spelling)? */
-bool
-allDigits(const std::string &s)
-{
-    if (s.empty())
-        return false;
-    return s.find_first_not_of("0123456789") == std::string::npos;
 }
 
 /**
@@ -144,18 +134,7 @@ ExperimentRequest::normalize()
 {
     app = appOrDie(app).abbr;
     policy = policyKindName(policyOrDie(policy));
-    if (allDigits(prefetch)) {
-        // Legacy numeric spelling: a sequential prefetch of that degree
-        // (0 = disabled).  Callers warn about the deprecation; here it
-        // only needs to fingerprint identically to the canonical form.
-        const unsigned degree =
-            static_cast<unsigned>(std::strtoul(prefetch.c_str(), nullptr, 10));
-        prefetch = degree > 0 ? "sequential" : "none";
-        if (degree > 0)
-            prefetchDegree = degree;
-    } else {
-        prefetch = prefetch::prefetchKindName(prefetchKindOrDie(prefetch));
-    }
+    prefetch = prefetch::prefetchKindName(prefetchKindOrDie(prefetch));
     std::string psError;
     const auto ps = parsePageSizes(pageSizes, psError);
     if (!ps.has_value())
@@ -283,7 +262,7 @@ ExperimentRequest::fromJson(const json::Value &v, std::string &error)
         error = unknownNameMessage("policy", req.policy, policyNames());
         return std::nullopt;
     }
-    if (!allDigits(req.prefetch) && !findPrefetchKind(req.prefetch)) {
+    if (!findPrefetchKind(req.prefetch)) {
         error = unknownNameMessage("prefetcher", req.prefetch,
                                    prefetchNames());
         return std::nullopt;

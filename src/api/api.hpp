@@ -8,11 +8,11 @@
  * experiment as an ExperimentRequest and executes it through
  * runExperiment().  A request is a pure value with JSON (de)serialization
  * and a **canonical fingerprint**: normalize() folds every accepted
- * spelling (name case, the legacy numeric --prefetch) onto one canonical
- * form, toJson() emits it with every field explicit and keys sorted, and
- * fingerprint() hashes exactly those bytes.  Two requests that mean the
- * same experiment therefore hash identically — which is what makes the
- * daemon's content-addressed result cache sound.
+ * spelling (name case) onto one canonical form, toJson() emits it with
+ * every field explicit and keys sorted, and fingerprint() hashes
+ * exactly those bytes.  Two requests that mean the same experiment
+ * therefore hash identically — which is what makes the daemon's
+ * content-addressed result cache sound.
  *
  * The contract the equivalence test suite pins: a given request produces
  * byte-identical results (same trace digests, same stat values) whether
@@ -63,8 +63,7 @@ struct ExperimentRequest
     bool functional = false;
     unsigned walkLatency = 8;
     bool multiLevelWalker = false;
-    /** Prefetcher kind name; normalize() lowers the legacy numeric
-     *  spelling onto "sequential" + prefetchDegree. */
+    /** Prefetcher kind name (a registry name, case-insensitive). */
     std::string prefetch = "none";
     unsigned prefetchDegree = 4;
     unsigned faultBatch = 1;
@@ -91,9 +90,9 @@ struct ExperimentRequest
 
     /**
      * Fold every accepted spelling onto the canonical one: registry-
-     * canonical app/policy/prefetch names (case-insensitive input) and
-     * the numeric legacy prefetch.  usageFatal() on unknown names —
-     * callers that must not exit validate via fromJson() instead.
+     * canonical app/policy/prefetch names (case-insensitive input).
+     * usageFatal() on unknown names — callers that must not exit
+     * validate via fromJson() instead.
      */
     void normalize();
 

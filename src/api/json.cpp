@@ -71,8 +71,9 @@ dumpValue(const Value &v, std::string &out)
       }
       case Value::Kind::Double: {
         const double d = v.asDouble();
-        if (d == static_cast<double>(static_cast<std::int64_t>(d))
-            && std::fabs(d) < 1e15) {
+        // Range first: casting a double outside int64 is undefined.
+        if (std::fabs(d) < 1e15
+            && d == static_cast<double>(static_cast<std::int64_t>(d))) {
             // Integral doubles print without an exponent or trailing
             // zeros so canonical bytes are stable ("1" not "1.000000").
             char buf[24];

@@ -4,21 +4,20 @@
  * `submit` client, and the load bench (see docs/api.md § "Wire
  * protocol v2").
  *
- * A request names its protocol version with an optional top-level
- * `"v"` field.  Absent (or 1) selects the v1 shape every pre-v2
- * client was built against — ad-hoc `"error"` strings with a
- * top-level `retry_after_ms` — and that shape is pinned by compat
- * tests, byte for byte.  `"v": 2` selects the v2 shape: responses
- * echo `"v": 2` and failures carry one structured error object,
+ * Every request names its protocol version with a top-level `"v": 2`;
+ * responses echo it, and failures carry one structured error object,
  *
  *     {"ok": false, "v": 2,
  *      "error": {"code": "...", "message": "...",
  *                "retry_after_ms": 250}}         // hint only when retryable
  *
+ * The unversioned v1 shape (string errors, a top-level
+ * `retry_after_ms`) is retired: a request without `"v"` or with
+ * `"v": 1` is refused with `unsupported_version`.
+ *
  * The version lives in the *envelope*, next to `type`/`id`/
  * `deadline_ms`, never inside `request` — so it is excluded from
- * ExperimentRequest::fingerprint() by construction and a v1 and a v2
- * client asking for the same experiment share one cache slot.
+ * ExperimentRequest::fingerprint() by construction.
  */
 
 #pragma once
@@ -30,9 +29,7 @@
 
 namespace hpe::api::protocol {
 
-/** The v1 shape: unversioned responses, string errors. */
-inline constexpr int kVersionLegacy = 1;
-/** The newest version the daemon speaks (and `submit` requests). */
+/** The one version the daemon speaks (and `submit` requests). */
 inline constexpr int kVersionCurrent = 2;
 
 /** @{ v2 error codes (the closed vocabulary docs/api.md documents). */
@@ -49,9 +46,8 @@ inline constexpr char kErrExperimentFailed[] = "experiment_failed";
 /** @} */
 
 /**
- * The backoff hint of a shed/saturated response, wherever the shape
- * put it: v2 nests it in the error object, v1 spells it top-level.
- * nullopt when the response carries none (not retryable).
+ * The backoff hint of a shed/saturated response, nested in its error
+ * object; nullopt when the response carries none (not retryable).
  */
 inline std::optional<std::uint64_t>
 retryAfterMs(const json::Value &response)
@@ -61,28 +57,21 @@ retryAfterMs(const json::Value &response)
         if (const json::Value *hint = error->find("retry_after_ms");
             hint != nullptr && hint->isNumber())
             return hint->asUint();
-    if (const json::Value *hint = response.find("retry_after_ms");
-        hint != nullptr && hint->isNumber())
-        return hint->asUint();
     return std::nullopt;
 }
 
 /**
- * The human-readable failure text of an `ok:false` response in either
- * shape ("" when absent or malformed).
+ * The human-readable failure text of an `ok:false` response ("" when
+ * absent or malformed).
  */
 inline std::string
 errorMessage(const json::Value &response)
 {
-    const json::Value *error = response.find("error");
-    if (error == nullptr)
-        return "";
-    if (error->isString())
-        return error->asString(); // v1
-    if (error->isObject())
+    if (const json::Value *error = response.find("error");
+        error != nullptr && error->isObject())
         if (const json::Value *message = error->find("message");
             message != nullptr && message->isString())
-            return message->asString(); // v2
+            return message->asString();
     return "";
 }
 

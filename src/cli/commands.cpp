@@ -31,14 +31,6 @@ namespace hpe::cli {
 
 namespace {
 
-/** Is @p s entirely decimal digits (the legacy --prefetch N spelling)? */
-bool
-allDigits(const std::string &s)
-{
-    return !s.empty()
-           && s.find_first_not_of("0123456789") == std::string::npos;
-}
-
 /**
  * Build the ExperimentRequest a command line denotes — the one funnel
  * shared by `run`, `report`, `compare`, `sweep`, and `submit`, so every
@@ -63,15 +55,7 @@ requestFromArgs(const Args &args)
         static_cast<unsigned>(args.getUint("walk-latency", 8));
     req.multiLevelWalker = args.has("multi-level-walker");
 
-    if (args.has("prefetch")) {
-        req.prefetch = args.get("prefetch", "none");
-        // Deprecated numeric spelling: still honoured (normalize() folds
-        // it onto the canonical form), but steer users to the named one.
-        if (allDigits(req.prefetch))
-            warn("--prefetch {} is deprecated; use --prefetch sequential "
-                 "--prefetch-degree {}",
-                 req.prefetch, req.prefetch);
-    }
+    req.prefetch = args.get("prefetch", "none");
     req.prefetchDegree =
         static_cast<unsigned>(args.getUint("prefetch-degree", 4));
     if (args.has("fault-batch")) {
@@ -588,8 +572,7 @@ submitCommand(const Args &args, std::ostream &os)
         fatal("submit requires --socket ENDPOINT "
               "(unix:/path, tcp:host:port, or a bare socket path)");
 
-    // submit speaks v2; the daemon answers v1 clients (no "v" field)
-    // in the legacy shape forever — see docs/api.md.
+    // The daemon speaks only v2 (see docs/api.md).
     const std::string type = args.get("type", "run");
     api::json::Object envelope{{"type", type},
                                {"v", api::protocol::kVersionCurrent}};
@@ -621,8 +604,7 @@ submitCommand(const Args &args, std::ostream &os)
         if (!parsed.has_value() || !parsed->isObject())
             fatal("malformed response from daemon: {}", response);
         const api::json::Value *ok = parsed->find("ok");
-        // The hint lives in the v2 error object (or top-level in a v1
-        // response); retryAfterMs() reads both shapes.
+        // The hint lives in the error object of a retryable failure.
         const auto retryAfter = api::protocol::retryAfterMs(*parsed);
         if ((ok != nullptr && ok->isBool() && ok->asBool())
             || !retryAfter.has_value() || attempt >= maxRetries)
@@ -697,8 +679,7 @@ printUsage(std::ostream &os)
           "  list     available applications, policies, and prefetchers\n"
           "\n"
           "names (apps, policies, prefetchers) are case-insensitive; `list`\n"
-          "prints the canonical spellings.  --prefetch N (numeric) is\n"
-          "deprecated: use --prefetch sequential --prefetch-degree N.\n"
+          "prints the canonical spellings.\n"
           "\n"
           "--page-sizes enables the multi-page-size GMMU axis (docs/\n"
           "page-sizes.md): 4k always, plus optional 64k/2m large-page\n"

@@ -71,9 +71,10 @@ struct DriverConfig
      * Prefetching only fills *free* frames — it never evicts.  0 = off
      * (the paper's configuration).
      *
-     * Legacy knob: when prefetch.kind is None and this is non-zero, the
-     * driver builds a sequential prefetcher with this degree and
-     * prefetchBlockPages, preserving the original behaviour bit for bit.
+     * Legacy knob: when prefetch.kind is None and this is non-zero,
+     * effectivePrefetch() selects a sequential prefetcher with this
+     * degree and prefetchBlockPages, preserving the original behaviour
+     * bit for bit.
      */
     unsigned prefetchDegree = 0;
 
@@ -95,6 +96,21 @@ struct DriverConfig
 
     /** Backoff schedule for timed-out / failed fault services (chaos). */
     RetryPolicy retry{};
+
+    /** The prefetcher both simulators build: `prefetch`, or the
+     *  sequential one the legacy prefetchDegree knob denotes. */
+    prefetch::PrefetchConfig
+    effectivePrefetch() const
+    {
+        prefetch::PrefetchConfig config = prefetch;
+        if (config.kind == prefetch::PrefetchKind::None
+            && prefetchDegree > 0) {
+            config.kind = prefetch::PrefetchKind::Sequential;
+            config.degree = prefetchDegree;
+            config.blockPages = prefetchBlockPages;
+        }
+        return config;
+    }
 };
 
 /** Serialized fault-service engine on the host CPU. */
@@ -131,15 +147,7 @@ class GpuDriver
           queueDepth_(stats.distribution(name + ".queueDepth")),
           batchOccupancy_(stats.distribution(name + ".batchOccupancy"))
     {
-        // Legacy back-compat: the old --prefetch N knob maps onto the
-        // sequential prefetcher with the configured block size.
-        if (cfg_.prefetch.kind == prefetch::PrefetchKind::None
-            && cfg_.prefetchDegree > 0) {
-            cfg_.prefetch.kind = prefetch::PrefetchKind::Sequential;
-            cfg_.prefetch.degree = cfg_.prefetchDegree;
-            cfg_.prefetch.blockPages = cfg_.prefetchBlockPages;
-        }
-        prefetcher_ = prefetch::makePrefetcher(cfg_.prefetch);
+        prefetcher_ = prefetch::makePrefetcher(cfg_.effectivePrefetch());
     }
 
     /**

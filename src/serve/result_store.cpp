@@ -179,25 +179,20 @@ ResultStore::openLocked(std::string &error)
     // Exclusive directory lock *before* the first read: replay
     // truncates torn tails and may compact, and doing either under a
     // live owner would destroy its journal.  Fail fast with the store
-    // untouched instead.  (cfg_.lockDir false = the caller already
-    // holds a lock covering this directory; see ShardedResultStore.)
-    if (cfg_.lockDir) {
-        const std::string lockPath = cfg_.dir + "/LOCK";
-        lockFd_ = ::open(lockPath.c_str(), O_RDWR | O_CREAT | O_CLOEXEC,
-                         0666);
-        if (lockFd_ < 0) {
-            error = strformat("open('{}'): {}", lockPath,
-                              std::strerror(errno));
-            return false;
-        }
-        if (::flock(lockFd_, LOCK_EX | LOCK_NB) != 0) {
-            error = strformat("store directory '{}' is locked (is another "
-                              "hpe_serve already serving this store?)",
-                              cfg_.dir);
-            ::close(lockFd_);
-            lockFd_ = -1;
-            return false;
-        }
+    // untouched instead.
+    const std::string lockPath = cfg_.dir + "/LOCK";
+    lockFd_ = ::open(lockPath.c_str(), O_RDWR | O_CREAT | O_CLOEXEC, 0666);
+    if (lockFd_ < 0) {
+        error = strformat("open('{}'): {}", lockPath, std::strerror(errno));
+        return false;
+    }
+    if (::flock(lockFd_, LOCK_EX | LOCK_NB) != 0) {
+        error = strformat("store directory '{}' is locked (is another "
+                          "hpe_serve already serving this store?)",
+                          cfg_.dir);
+        ::close(lockFd_);
+        lockFd_ = -1;
+        return false;
     }
 
     // Scan for existing segments, ascending sequence order.

@@ -5,10 +5,12 @@
  * results.
  *
  * The store owns a directory of journal segments
- * (`journal-<seq>.log`).  Every completed computation appends one
- * framed record — (fingerprint, canonical result JSON payload, failed
- * flag) — protected by a trailing FNV-1a checksum; every cache
- * eviction appends a tombstone frame for the evicted fingerprint.
+ * (`journal-<seq>.log`); the daemon keeps one store per shard, in
+ * `<root>/shard-<i>/` (see ShardedResultStore).  Every completed
+ * computation appends one framed record — (fingerprint, canonical
+ * result JSON payload, failed flag) — protected by a trailing FNV-1a
+ * checksum; every cache eviction appends a tombstone frame for the
+ * evicted fingerprint.
  * Frames are written with a single write(2), so a SIGKILL can tear at
  * most the frame in flight, never a committed one.
  *
@@ -29,10 +31,10 @@
  * an append failure (disk full, directory removed) degrades the store
  * to memory-only with a warning rather than killing the daemon.
  *
- * open() takes an exclusive flock(2) on `<dir>/LOCK` before reading a
- * byte, so a second process pointed at the same directory fails fast
- * instead of misreading the owner's in-flight append as a torn tail
- * and truncating (or compacting away) a live journal.
+ * open() always takes an exclusive flock(2) on `<dir>/LOCK` before
+ * reading a byte, so a second process pointed at the same directory
+ * fails fast instead of misreading the owner's in-flight append as a
+ * torn tail and truncating (or compacting away) a live journal.
  */
 
 #pragma once
@@ -59,11 +61,6 @@ struct ResultStoreConfig
     /** Compact when dead frames (superseded + tombstoned) exceed this
      *  fraction of all frames, checked at rotation and open(). */
     double compactDeadRatio = 0.5;
-    /** Take the exclusive flock on `<dir>/LOCK` at open().  Disabled
-     *  only by ShardedResultStore when it migrates a legacy
-     *  single-store journal out of a root directory whose lock it
-     *  already holds — never by a store with an independent owner. */
-    bool lockDir = true;
 };
 
 /** Append-only journal of experiment results; see file comment. */

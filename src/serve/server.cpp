@@ -48,22 +48,14 @@ constexpr std::uint64_t kNotifyTag = kControlBit | 2;
 constexpr std::uint64_t kListenTagBase = kControlBit | 0x100;
 
 /**
- * One failure line in the shape @p version selects: v1 is the pinned
- * legacy `{"error":"msg","ok":false[,"retry_after_ms":N]}` (no id
- * echo, exactly as every pre-v2 client parses it); v2 carries the
- * structured error object and echoes @p id.
+ * One failure line: the structured v2 error object, echoing @p id when
+ * the request carried one.
  */
 std::string
-errorResponse(int version, const char *code, const std::string &message,
+errorResponse(const char *code, const std::string &message,
               std::optional<std::uint64_t> retryAfterMs = std::nullopt,
               const std::optional<Value> &id = std::nullopt)
 {
-    if (version < protocol::kVersionCurrent) {
-        Object obj{{"error", message}, {"ok", false}};
-        if (retryAfterMs.has_value())
-            obj.emplace("retry_after_ms", *retryAfterMs);
-        return Value(std::move(obj)).dump();
-    }
     Object errorObj{{"code", code}, {"message", message}};
     if (retryAfterMs.has_value())
         errorObj.emplace("retry_after_ms", *retryAfterMs);
@@ -111,7 +103,7 @@ probeAlive(const sockaddr_un &addr)
     }
     const timeval timeout{1, 0};
     ::setsockopt(fd, SOL_SOCKET, SO_RCVTIMEO, &timeout, sizeof timeout);
-    const char ping[] = "{\"type\":\"ping\"}\n";
+    const char ping[] = "{\"type\":\"ping\",\"v\":2}\n";
     if (::send(fd, ping, sizeof ping - 1, MSG_NOSIGNAL) < 0) {
         ::close(fd);
         return false;
@@ -654,7 +646,7 @@ Server::processLines(Connection &conn)
                 enqueueResponse(
                     conn,
                     errorResponse(
-                        protocol::kVersionLegacy, protocol::kErrOversized,
+                        protocol::kErrOversized,
                         strformat("request line exceeds {} bytes",
                                   cfg_.maxLineBytes)));
                 conn.rbuf.clear();
@@ -803,7 +795,7 @@ Server::expireDeadlines(Clock::time_point now)
             --outstanding_;
         ++errors_;
         const std::string response = errorResponse(
-            ticket->version, protocol::kErrDeadline,
+            protocol::kErrDeadline,
             strformat("deadline exceeded after {}ms (the computation "
                       "continues; retry to pick it up from the cache)",
                       ticket->deadlineMs),
@@ -825,10 +817,9 @@ Server::handleLine(Connection &conn, const std::string &line)
     const auto envelope = api::json::parse(line, &perr);
     if (!envelope.has_value()) {
         ++errors_;
-        // Unparseable = version unknowable; answer in the legacy shape.
         enqueueResponse(
             conn, errorResponse(
-                      protocol::kVersionLegacy, protocol::kErrParse,
+                      protocol::kErrParse,
                       strformat("request parse error at byte {}: {}",
                                 perr.offset, perr.message)));
         return;
@@ -836,39 +827,33 @@ Server::handleLine(Connection &conn, const std::string &line)
     if (!envelope->isObject()) {
         ++errors_;
         enqueueResponse(conn,
-                        errorResponse(protocol::kVersionLegacy,
-                                      protocol::kErrBadRequest,
+                        errorResponse(protocol::kErrBadRequest,
                                       "request must be a JSON object"));
         return;
     }
 
-    int version = protocol::kVersionLegacy;
-    if (const Value *v = envelope->find("v"); v != nullptr) {
-        if (!v->isNumber()) {
-            ++errors_;
-            enqueueResponse(conn, errorResponse(protocol::kVersionCurrent,
-                                                protocol::kErrUnsupportedVersion,
-                                                "field 'v' must be a number",
-                                                std::nullopt,
-                                                envelopeId(*envelope)));
-            return;
-        }
-        const std::uint64_t requested = v->asUint();
-        if (requested < protocol::kVersionLegacy
-            || requested > protocol::kVersionCurrent) {
-            ++errors_;
-            enqueueResponse(
-                conn,
-                errorResponse(protocol::kVersionCurrent,
-                              protocol::kErrUnsupportedVersion,
-                              strformat("unsupported protocol version {} "
-                                        "(supported: {} to {})",
-                                        requested, protocol::kVersionLegacy,
-                                        protocol::kVersionCurrent),
-                              std::nullopt, envelopeId(*envelope)));
-            return;
-        }
-        version = static_cast<int>(requested);
+    // Only the exact integer 2 passes: a fraction or a huge double must
+    // not be cast onto it.
+    std::string versionError;
+    const Value *v = envelope->find("v");
+    const auto integerIs = [v](std::uint64_t version) {
+        return v->kind() == Value::Kind::Uint && v->asUint() == version;
+    };
+    if (v == nullptr || integerIs(1))
+        versionError = "protocol v1 (no \"v\", or \"v\":1) is retired; "
+                       "send \"v\":2";
+    else if (!v->isNumber())
+        versionError = "field 'v' must be a number";
+    else if (!integerIs(protocol::kVersionCurrent))
+        versionError = strformat("unsupported protocol version {} "
+                                 "(supported: {})",
+                                 v->dump(), protocol::kVersionCurrent);
+    if (!versionError.empty()) {
+        ++errors_;
+        enqueueResponse(conn, errorResponse(protocol::kErrUnsupportedVersion,
+                                            versionError, std::nullopt,
+                                            envelopeId(*envelope)));
+        return;
     }
 
     std::string type = "run";
@@ -876,7 +861,7 @@ Server::handleLine(Connection &conn, const std::string &line)
         if (!t->isString()) {
             ++errors_;
             enqueueResponse(conn, errorResponse(
-                                      version, protocol::kErrBadRequest,
+                                      protocol::kErrBadRequest,
                                       "field 'type' must be a string",
                                       std::nullopt, envelopeId(*envelope)));
             return;
@@ -885,13 +870,13 @@ Server::handleLine(Connection &conn, const std::string &line)
     }
 
     if (type == "run") {
-        handleRun(conn, *envelope, version);
+        handleRun(conn, *envelope);
         return;
     }
     if (type == "stats") {
-        Object response{{"ok", true}, {"type", "stats"}};
-        if (version >= protocol::kVersionCurrent)
-            response.emplace("v", version);
+        Object response{{"ok", true},
+                        {"type", "stats"},
+                        {"v", protocol::kVersionCurrent}};
         echoId(*envelope, response);
         api::json::ParseError ignored;
         response.emplace("stats", *api::json::parse(statsJson(), &ignored));
@@ -900,18 +885,18 @@ Server::handleLine(Connection &conn, const std::string &line)
         return;
     }
     if (type == "ping") {
-        Object response{{"ok", true}, {"type", "pong"}};
-        if (version >= protocol::kVersionCurrent)
-            response.emplace("v", version);
+        Object response{{"ok", true},
+                        {"type", "pong"},
+                        {"v", protocol::kVersionCurrent}};
         echoId(*envelope, response);
         ++served_;
         enqueueResponse(conn, Value(std::move(response)).dump());
         return;
     }
     if (type == "shutdown") {
-        Object response{{"ok", true}, {"type", "shutting_down"}};
-        if (version >= protocol::kVersionCurrent)
-            response.emplace("v", version);
+        Object response{{"ok", true},
+                        {"type", "shutting_down"},
+                        {"v", protocol::kVersionCurrent}};
         echoId(*envelope, response);
         ++served_;
         // Response first: it sits in the write buffer and the drain
@@ -923,7 +908,7 @@ Server::handleLine(Connection &conn, const std::string &line)
     ++errors_;
     enqueueResponse(
         conn, errorResponse(
-                  version, protocol::kErrUnknownType,
+                  protocol::kErrUnknownType,
                   strformat("unknown request type '{}' (valid: run, stats, "
                             "ping, shutdown)",
                             type),
@@ -931,7 +916,7 @@ Server::handleLine(Connection &conn, const std::string &line)
 }
 
 void
-Server::handleRun(Connection &conn, const Value &envelope, int version)
+Server::handleRun(Connection &conn, const Value &envelope)
 {
     // Empty "request" = the default experiment, like a bare `hpe_sim run`.
     Value requestJson{Object{}};
@@ -941,8 +926,7 @@ Server::handleRun(Connection &conn, const Value &envelope, int version)
     const auto req = api::ExperimentRequest::fromJson(requestJson, error);
     if (!req.has_value()) {
         ++errors_;
-        enqueueResponse(conn, errorResponse(version,
-                                            protocol::kErrBadRequest,
+        enqueueResponse(conn, errorResponse(protocol::kErrBadRequest,
                                             "invalid request: " + error,
                                             std::nullopt,
                                             envelopeId(envelope)));
@@ -954,7 +938,7 @@ Server::handleRun(Connection &conn, const Value &envelope, int version)
         if (!d->isNumber()) {
             ++errors_;
             enqueueResponse(conn, errorResponse(
-                                      version, protocol::kErrBadRequest,
+                                      protocol::kErrBadRequest,
                                       "field 'deadline_ms' must be a number",
                                       std::nullopt, envelopeId(envelope)));
             return;
@@ -977,7 +961,7 @@ Server::handleRun(Connection &conn, const Value &envelope, int version)
         --outstanding_;
         enqueueResponse(
             conn,
-            errorResponse(version, protocol::kErrShedReject,
+            errorResponse(protocol::kErrShedReject,
                           strformat("shedding load (mode reject, depth {}): "
                                     "retry later",
                                     depth),
@@ -1001,7 +985,7 @@ Server::handleRun(Connection &conn, const Value &envelope, int version)
             ++shard.shedColdRejections;
             enqueueResponse(
                 conn,
-                errorResponse(version, protocol::kErrShedHitOnly,
+                errorResponse(protocol::kErrShedHitOnly,
                               strformat("shedding load (mode hit_only, "
                                         "depth {}): only cached and "
                                         "in-flight fingerprints are admitted",
@@ -1011,7 +995,7 @@ Server::handleRun(Connection &conn, const Value &envelope, int version)
         }
         enqueueResponse(
             conn,
-            errorResponse(version, protocol::kErrSaturated,
+            errorResponse(protocol::kErrSaturated,
                           strformat("saturated: {} computations queued or "
                                     "running on shard {}",
                                     shard.cache.pending(), shardIndex),
@@ -1021,7 +1005,6 @@ Server::handleRun(Connection &conn, const Value &envelope, int version)
 
     auto ticket = std::make_shared<Ticket>();
     ticket->connId = conn.id;
-    ticket->version = version;
     ticket->id = envelopeId(envelope);
     ticket->fingerprint = fingerprint;
     ticket->entry = acq.entry;
@@ -1088,17 +1071,15 @@ Server::buildRunResponse(const Ticket &ticket)
 {
     if (ticket.entry->failed) {
         ++errors_;
-        return errorResponse(ticket.version,
-                             protocol::kErrExperimentFailed,
+        return errorResponse(protocol::kErrExperimentFailed,
                              ticket.entry->payload, std::nullopt, ticket.id);
     }
     Object response{{"cached", ticket.cached},
                     {"coalesced", ticket.coalesced},
                     {"fingerprint", ticket.fingerprint},
                     {"ok", true},
-                    {"type", "result"}};
-    if (ticket.version >= protocol::kVersionCurrent)
-        response.emplace("v", ticket.version);
+                    {"type", "result"},
+                    {"v", protocol::kVersionCurrent}};
     if (ticket.id.has_value())
         response.emplace("id", *ticket.id);
     api::json::ParseError ignored;

@@ -4,12 +4,13 @@
  *
  * A Server listens on any mix of Unix-domain and TCP endpoints
  * (`unix:/path` | `tcp:host:port`; see serve/endpoint.hpp) and speaks
- * a newline-delimited JSON request/response protocol, versioned since
- * v2 (one JSON object per line in each direction; see docs/api.md):
+ * a newline-delimited JSON request/response protocol, version 2 (one
+ * JSON object per line in each direction; see docs/api.md):
  *
  *   {"v":2,"type":"run","request":{...ExperimentRequest...},"id":"tag",
  *    "deadline_ms":5000}
- *   {"type":"stats"} | {"type":"ping"} | {"type":"shutdown"}
+ *   {"v":2,"type":"stats"} | {"v":2,"type":"ping"} |
+ *   {"v":2,"type":"shutdown"}
  *
  * Request handling funnels through the stable hpe::api façade, so a
  * cell served over any socket is byte-identical (same digests, same
@@ -232,7 +233,6 @@ class Server
     {
         std::atomic<bool> answered{false};
         std::uint64_t connId = 0;
-        int version = 1;
         std::optional<api::json::Value> id;
         std::string fingerprint;
         bool cached = false;
@@ -262,8 +262,7 @@ class Server
     int epollTimeoutMs(Clock::time_point now) const;
 
     void handleLine(Connection &conn, const std::string &line);
-    void handleRun(Connection &conn, const api::json::Value &envelope,
-                   int version);
+    void handleRun(Connection &conn, const api::json::Value &envelope);
     /** The worker-side response for an answered ticket. */
     std::string buildRunResponse(const Ticket &ticket);
     /** Workers hand finished responses back to the IO thread here. */

@@ -92,9 +92,8 @@ ShardedResultStore::open(std::string &error)
         return false;
     }
 
-    // The root lock is the same `<dir>/LOCK` a legacy single-store
-    // daemon takes, so sharded and unsharded incarnations pointed at
-    // one root exclude each other exactly like two unsharded ones do.
+    // The root lock excludes a second daemon pointed at the same root
+    // before it reads (or migrates) a single shard.
     const std::string lockPath = cfg_.dir + "/LOCK";
     rootLockFd_ = ::open(lockPath.c_str(), O_RDWR | O_CREAT | O_CLOEXEC,
                          0666);
@@ -112,9 +111,11 @@ ShardedResultStore::open(std::string &error)
     }
 
     // Scan the root once: current shard dirs, orphans from a larger
-    // previous --shards count, and bare legacy segments.
+    // previous --shards count, and bare segments of the retired
+    // unsharded layout, which are refused untouched rather than
+    // silently left behind.
     std::vector<std::string> orphanDirs;
-    bool legacyJournal = false;
+    bool unshardedJournal = false;
     {
         std::error_code ec;
         for (const auto &entry : fs::directory_iterator(cfg_.dir, ec)) {
@@ -123,7 +124,7 @@ ShardedResultStore::open(std::string &error)
                 index.has_value() && *index >= shardCount_)
                 orphanDirs.push_back(entry.path().string());
             else if (isJournalSegmentName(name))
-                legacyJournal = true;
+                unshardedJournal = true;
         }
         if (ec) {
             error = strformat("scan('{}'): {}", cfg_.dir, ec.message());
@@ -131,13 +132,21 @@ ShardedResultStore::open(std::string &error)
             return false;
         }
     }
+    if (unshardedJournal) {
+        error = strformat("store directory '{}' holds journal-*.log "
+                          "segments in its root: the unsharded layout is "
+                          "no longer read (move them into an empty "
+                          "'{}' to recover them)",
+                          cfg_.dir, shardDir(0));
+        close();
+        return false;
+    }
 
     // Open the current shards first — they are the migration targets.
     shards_.reserve(shardCount_);
     for (unsigned i = 0; i < shardCount_; ++i) {
         ResultStoreConfig sub = cfg_;
         sub.dir = shardDir(i);
-        sub.lockDir = true;
         shards_.push_back(std::make_unique<ResultStore>(sub));
         if (!shards_.back()->open(error)) {
             close();
@@ -151,7 +160,7 @@ ShardedResultStore::open(std::string &error)
     // instead of losing frames (re-appends supersede harmlessly).
     std::vector<ResultStore::Record> migrants;
     for (const std::string &dir : orphanDirs) {
-        if (!migrateDir(dir, /*lockDir=*/true, migrants, error)) {
+        if (!migrateDir(dir, migrants, error)) {
             close();
             return false;
         }
@@ -160,18 +169,6 @@ ShardedResultStore::open(std::string &error)
         if (ec)
             warn("hpe_serve store: cannot remove migrated '{}': {}", dir,
                  ec.message());
-    }
-    if (legacyJournal) {
-        // The legacy store locks the same `<dir>/LOCK` we already
-        // hold, so it opens lock-free under our lock.
-        if (!migrateDir(cfg_.dir, /*lockDir=*/false, migrants, error)) {
-            close();
-            return false;
-        }
-        std::error_code ec;
-        for (const auto &entry : fs::directory_iterator(cfg_.dir, ec))
-            if (isJournalSegmentName(entry.path().filename().string()))
-                fs::remove(entry.path(), ec);
     }
 
     // Records already resident in a current shard but owned by another
@@ -209,13 +206,12 @@ ShardedResultStore::open(std::string &error)
 }
 
 bool
-ShardedResultStore::migrateDir(const std::string &dir, bool lockDir,
+ShardedResultStore::migrateDir(const std::string &dir,
                                std::vector<ResultStore::Record> &migrants,
                                std::string &error)
 {
     ResultStoreConfig sub = cfg_;
     sub.dir = dir;
-    sub.lockDir = lockDir;
     ResultStore source(sub);
     if (!source.open(error))
         return false;

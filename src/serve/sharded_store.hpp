@@ -6,9 +6,8 @@
  * Layout: `<dir>/shard-<i>/` holds shard i's journal segments, each a
  * complete self-describing ResultStore directory with its own `LOCK`.
  * The wrapper additionally flocks `<dir>/LOCK` before touching any
- * shard, so a sharded daemon and a legacy single-store daemon pointed
- * at the same root exclude each other (the legacy store locks the same
- * path).
+ * shard, so two daemons pointed at one root exclude each other before
+ * either reads or migrates a shard.
  *
  * Routing: shardOf() hashes the fingerprint (FNV-1a) modulo the shard
  * count.  The mapping is deterministic and pinned by tests — the same
@@ -16,14 +15,17 @@
  * after open() the shard vector is immutable, so append() routes with
  * no wrapper lock: journal appends on different shards never contend.
  *
- * Reopening with a *different* shard count (or on top of a legacy
- * unsharded journal) is a supported migration, not corruption: open()
- * replays every journal it finds — current shard dirs, orphan
- * `shard-<j>` dirs with j >= the new count, and bare `journal-*.log`
- * segments in the root — re-appends records that no longer live in
- * their owning shard to the right one, and deletes the drained
- * sources.  Every frame a previous incarnation wrote survives; a
- * crash mid-migration merely redoes it (re-appends supersede).
+ * Reopening with a *different* shard count is a supported migration,
+ * not corruption: open() replays every journal it finds — current
+ * shard dirs and orphan `shard-<j>` dirs with j >= the new count —
+ * re-appends records that no longer live in their owning shard to the
+ * right one, and deletes the drained sources.  Every frame a previous
+ * incarnation wrote survives; a crash mid-migration merely redoes it
+ * (re-appends supersede).
+ *
+ * Bare `journal-*.log` segments in the root (the retired unsharded
+ * layout, which no writer produces: even one shard lives in
+ * `shard-0/`) make open() fail with the segments untouched.
  */
 
 #pragma once
@@ -49,9 +51,10 @@ class ShardedResultStore
     ShardedResultStore(const ShardedResultStore &) = delete;
     ShardedResultStore &operator=(const ShardedResultStore &) = delete;
 
-    /** Lock the root, open every shard, migrate stray journals (see
+    /** Lock the root, open every shard, migrate orphan shards (see
      *  file comment).  @return false with @p error filled on the first
-     *  failure (root locked, unopenable shard, ...). */
+     *  failure (root locked, unsharded segments in the root,
+     *  unopenable shard, ...). */
     bool open(std::string &error);
 
     /** Close every shard and release the root lock (idempotent).
@@ -89,15 +92,15 @@ class ShardedResultStore
     std::uint64_t liveCount() const;
     /** False once any shard degraded to memory-only. */
     bool healthy() const;
-    /** Journals re-homed by the last open() (resharding/legacy). */
+    /** Records re-homed by the last open() (resharding). */
     std::uint64_t migratedRecords() const { return migrated_; }
     /** @} */
 
   private:
     std::string shardDir(unsigned index) const;
-    /** Drain a stray journal directory into the current shards,
+    /** Drain an orphan shard directory into the current shards,
      *  collecting its records into @p migrants. */
-    bool migrateDir(const std::string &dir, bool lockDir,
+    bool migrateDir(const std::string &dir,
                     std::vector<ResultStore::Record> &migrants,
                     std::string &error);
 

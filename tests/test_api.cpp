@@ -127,19 +127,15 @@ TEST(Request, FingerprintIsSpellingStable)
     lower.policy = "hpe";
     EXPECT_EQ(lower.fingerprint(), canonical.fingerprint());
 
-    // The deprecated numeric prefetch folds onto the canonical spelling.
-    ExperimentRequest named = canonical;
-    named.prefetch = "sequential";
-    named.prefetchDegree = 8;
-    ExperimentRequest numeric = canonical;
-    numeric.prefetch = "8";
-    numeric.prefetchDegree = 4; // overridden by the numeric spelling
-    EXPECT_EQ(numeric.fingerprint(), named.fingerprint());
-
-    // "0" means no prefetching at all.
-    ExperimentRequest zero = canonical;
-    zero.prefetch = "0";
-    EXPECT_EQ(zero.fingerprint(), canonical.fingerprint());
+    // The retired numeric prefetch spelling is an unknown prefetcher,
+    // refused with the list of valid names.
+    std::string error;
+    for (const char *numeric : {R"({"prefetch":"8"})", R"({"prefetch":"0"})"}) {
+        EXPECT_FALSE(fromText(numeric, error).has_value()) << numeric;
+        EXPECT_NE(error.find("unknown prefetcher '"), std::string::npos);
+        EXPECT_NE(error.find("(valid: none, sequential, "), std::string::npos)
+            << error;
+    }
 }
 
 TEST(Request, FingerprintSeparatesDifferentExperiments)

@@ -148,21 +148,15 @@ TEST(Commands, CaseInsensitiveNamesResolveToCanonical)
     EXPECT_NE(canonical.find("STN,LRU,"), std::string::npos);
 }
 
-TEST(Commands, LegacyNumericPrefetchMatchesCanonicalSpelling)
+TEST(Commands, NumericPrefetchExitsWithUsageCode)
 {
-    const auto csvRun = [](std::vector<const char *> extra) {
-        std::vector<const char *> argv = {"run",     "--app",  "STN",
-                                          "--functional", "--csv", "--scale",
-                                          "0.25"};
-        argv.insert(argv.end(), extra.begin(), extra.end());
-        std::ostringstream os;
-        EXPECT_EQ(dispatch(parse(argv), os), 0);
-        return os.str();
-    };
-    // The deprecated numeric spelling must keep working and mean exactly
-    // `--prefetch sequential --prefetch-degree N`.
-    EXPECT_EQ(csvRun({"--prefetch", "8"}),
-              csvRun({"--prefetch", "sequential", "--prefetch-degree", "8"}));
+    // The retired `--prefetch N` spelling is an unknown prefetcher name;
+    // the message lists the named spellings instead.
+    std::ostringstream os;
+    const Args a = parse({"run", "--app", "STN", "--functional", "--prefetch",
+                          "8", "--scale", "0.25"});
+    EXPECT_EXIT({ dispatch(a, os); }, ::testing::ExitedWithCode(kUsageExitCode),
+                "unknown prefetcher '8' \\(valid: none, sequential, ");
 }
 
 TEST(Commands, CompareCoversAllPaperPolicies)

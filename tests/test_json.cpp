@@ -75,6 +75,8 @@ TEST(Json, IntegralDoublesDumpWithoutDecimalPoint)
     EXPECT_EQ(Value(0.75).dump(), "0.75");
     EXPECT_EQ(Value(1.0).dump(), "1");
     EXPECT_EQ(Value(0.0).dump(), "0");
+    // Far outside int64 the exponent form is used, without a cast.
+    EXPECT_EQ(Value(1e300).dump(), "1.0000000000000001e+300");
 }
 
 TEST(Json, StringEscapesRoundTrip)

@@ -344,14 +344,15 @@ TEST(PrefetchCli, KindNameAndDegreeSpellings)
     EXPECT_NE(os.str().find("functional"), std::string::npos);
 }
 
-TEST(PrefetchCli, LegacyNumericSpellingStillAccepted)
+TEST(PrefetchCli, NumericSpellingIsRejected)
 {
     std::ostringstream os;
-    EXPECT_EQ(cli::runCommand(parse({"run", "--app", "HSD", "--policy", "LRU",
-                                     "--functional", "--scale", "0.05",
-                                     "--prefetch", "4", "--csv"}),
-              os),
-              0);
+    const cli::Args a = parse({"run", "--app", "HSD", "--policy", "LRU",
+                               "--functional", "--scale", "0.05",
+                               "--prefetch", "4", "--csv"});
+    EXPECT_EXIT({ cli::runCommand(a, os); },
+                ::testing::ExitedWithCode(kUsageExitCode),
+                "unknown prefetcher '4' \\(valid: ");
 }
 
 TEST(PrefetchCli, FaultBatchFlagRuns)

@@ -23,6 +23,7 @@
 #include <unistd.h>
 
 #include "api/json.hpp"
+#include "api/protocol.hpp"
 #include "serve/client.hpp"
 #include "serve/result_cache.hpp"
 #include "serve/result_store.hpp"
@@ -32,6 +33,7 @@ namespace hpe::serve {
 namespace {
 
 using api::json::Value;
+namespace protocol = api::protocol;
 
 // ------------------------------------------------------------ ResultCache
 
@@ -271,18 +273,29 @@ struct TestServer
     std::unique_ptr<Server> server;
 };
 
+/** The structured error code of a failure response ("" if none). */
+std::string
+errorCode(const Value &response)
+{
+    const Value *error = response.find("error");
+    if (error == nullptr || !error->isObject())
+        return "";
+    const Value *code = error->find("code");
+    return code != nullptr && code->isString() ? code->asString() : "";
+}
+
 /** A tiny run request (fast functional cell). */
 std::string
 runRequest()
 {
-    return R"({"type":"run","request":{"app":"STN","policy":"LRU",)"
+    return R"({"v":2,"type":"run","request":{"app":"STN","policy":"LRU",)"
            R"("functional":true,"scale":0.1,"trace_digest":true}})";
 }
 
 TEST(Serve, PingPongRoundTrip)
 {
     TestServer ts("ping");
-    const Value response = ts.roundTrip(R"({"type":"ping","id":"tag"})");
+    const Value response = ts.roundTrip(R"({"v":2,"type":"ping","id":"tag"})");
     EXPECT_TRUE(response.find("ok")->asBool());
     EXPECT_EQ(response.find("type")->asString(), "pong");
     // The id echoes back so clients can match responses to requests.
@@ -312,7 +325,7 @@ TEST(Serve, CaseDifferingSpellingsShareOneCacheSlot)
     TestServer ts("spelling");
     const Value canonical = ts.roundTrip(runRequest());
     const Value lower = ts.roundTrip(
-        R"({"type":"run","request":{"app":"stn","policy":"lru",)"
+        R"({"v":2,"type":"run","request":{"app":"stn","policy":"lru",)"
         R"("functional":true,"scale":0.1,"trace_digest":true}})");
     ASSERT_TRUE(lower.find("ok")->asBool());
     // Content addressing: same experiment, same fingerprint, cache hit.
@@ -358,23 +371,26 @@ TEST(Serve, InvalidRequestsGetErrorResponsesNotCrashes)
     TestServer ts("errors");
     const Value badJson = ts.roundTrip("this is not json");
     EXPECT_FALSE(badJson.find("ok")->asBool());
-    EXPECT_NE(badJson.find("error")->asString().find("parse error"),
+    EXPECT_EQ(errorCode(badJson), protocol::kErrParse);
+    EXPECT_NE(protocol::errorMessage(badJson).find("parse error"),
               std::string::npos);
 
     const Value badName = ts.roundTrip(
-        R"({"type":"run","request":{"policy":"NOPE"}})");
+        R"({"v":2,"type":"run","request":{"policy":"NOPE"}})");
     EXPECT_FALSE(badName.find("ok")->asBool());
-    EXPECT_NE(badName.find("error")->asString().find(
+    EXPECT_EQ(errorCode(badName), protocol::kErrBadRequest);
+    EXPECT_NE(protocol::errorMessage(badName).find(
                   "unknown policy 'NOPE' (valid: "),
               std::string::npos);
 
-    const Value badType = ts.roundTrip(R"({"type":"transmogrify"})");
+    const Value badType = ts.roundTrip(R"({"v":2,"type":"transmogrify"})");
     EXPECT_FALSE(badType.find("ok")->asBool());
-    EXPECT_NE(badType.find("error")->asString().find("unknown request type"),
+    EXPECT_EQ(errorCode(badType), protocol::kErrUnknownType);
+    EXPECT_NE(protocol::errorMessage(badType).find("unknown request type"),
               std::string::npos);
 
     // The daemon survived all of it.
-    EXPECT_TRUE(ts.roundTrip(R"({"type":"ping"})").find("ok")->asBool());
+    EXPECT_TRUE(ts.roundTrip(R"({"v":2,"type":"ping"})").find("ok")->asBool());
     EXPECT_EQ(ts.server->cache().misses(), 0u);
 }
 
@@ -383,7 +399,7 @@ TEST(Serve, StatsSurfaceCacheAndQueueCounters)
     TestServer ts("stats");
     ts.roundTrip(runRequest());
     ts.roundTrip(runRequest());
-    const Value stats = ts.roundTrip(R"({"type":"stats"})");
+    const Value stats = ts.roundTrip(R"({"v":2,"type":"stats"})");
     ASSERT_TRUE(stats.find("ok")->asBool());
     const Value *body = stats.find("stats");
     ASSERT_NE(body, nullptr);
@@ -401,7 +417,7 @@ TEST(Serve, StatsSurfaceCacheAndQueueCounters)
 TEST(Serve, ShutdownRequestDrainsGracefully)
 {
     TestServer ts("shutdown");
-    const Value ack = ts.roundTrip(R"({"type":"shutdown"})");
+    const Value ack = ts.roundTrip(R"({"v":2,"type":"shutdown"})");
     EXPECT_TRUE(ack.find("ok")->asBool());
     EXPECT_EQ(ack.find("type")->asString(), "shutting_down");
 
@@ -409,8 +425,8 @@ TEST(Serve, ShutdownRequestDrainsGracefully)
     ts.server->stop();
     // The socket file is gone; new connections are refused.
     std::string response, error;
-    EXPECT_FALSE(
-        submitLine(ts.cfg.socketPath, R"({"type":"ping"})", response, error));
+    EXPECT_FALSE(submitLine(ts.cfg.socketPath, R"({"v":2,"type":"ping"})",
+                            response, error));
 }
 
 TEST(Serve, SaturatedDaemonRejectsWithRetryHint)
@@ -425,10 +441,10 @@ TEST(Serve, SaturatedDaemonRejectsWithRetryHint)
     EXPECT_FALSE(rejected.find("ok")->asBool());
     // The held slot pushes the load depth past the hit-only threshold,
     // so the cold fingerprint is shed (tiered shedding, PR 6).
-    EXPECT_NE(rejected.find("error")->asString().find("shedding load"),
+    EXPECT_EQ(errorCode(rejected), protocol::kErrShedHitOnly);
+    EXPECT_NE(protocol::errorMessage(rejected).find("shedding load"),
               std::string::npos);
-    ASSERT_NE(rejected.find("retry_after_ms"), nullptr);
-    EXPECT_GT(rejected.find("retry_after_ms")->asUint(), 0u);
+    EXPECT_GT(protocol::retryAfterMs(rejected).value_or(0), 0u);
 
     // Releasing the slot re-admits the same request.
     ts.server->cache().complete(holder.entry, "freed");
@@ -451,7 +467,7 @@ TEST(Serve, StartFailsCleanlyOnUnusableSocketPath)
 std::string
 coldRequest(std::uint64_t seed)
 {
-    return R"({"type":"run","request":{"app":"STN","policy":"LRU",)"
+    return R"({"v":2,"type":"run","request":{"app":"STN","policy":"LRU",)"
            R"("functional":true,"scale":0.1,"trace_digest":true,"seed":)"
            + std::to_string(seed) + "}}";
 }
@@ -482,10 +498,10 @@ TEST(Serve, ShedTiersDegradeUnderDepthAndRecoverWhenItDrains)
     const auto h2 = server.cache().acquire("hold-2");
     const Value cold = roundTrip(coldRequest(777));
     EXPECT_FALSE(cold.find("ok")->asBool());
-    EXPECT_NE(cold.find("error")->asString().find("hit_only"),
+    EXPECT_EQ(errorCode(cold), protocol::kErrShedHitOnly);
+    EXPECT_NE(protocol::errorMessage(cold).find("hit_only"),
               std::string::npos);
-    ASSERT_NE(cold.find("retry_after_ms"), nullptr);
-    EXPECT_GT(cold.find("retry_after_ms")->asUint(), 0u);
+    EXPECT_GT(protocol::retryAfterMs(cold).value_or(0), 0u);
     // The cached fingerprint still answers in hit_only mode.
     const Value warm = roundTrip(runRequest());
     EXPECT_TRUE(warm.find("ok")->asBool());
@@ -496,11 +512,12 @@ TEST(Serve, ShedTiersDegradeUnderDepthAndRecoverWhenItDrains)
     const auto h4 = server.cache().acquire("hold-4");
     const Value rejected = roundTrip(runRequest());
     EXPECT_FALSE(rejected.find("ok")->asBool());
-    EXPECT_NE(rejected.find("error")->asString().find("reject"),
+    EXPECT_EQ(errorCode(rejected), protocol::kErrShedReject);
+    EXPECT_NE(protocol::errorMessage(rejected).find("reject"),
               std::string::npos);
     EXPECT_EQ(server.shedMode(), ShedMode::Reject);
 
-    const Value stats = roundTrip(R"({"type":"stats"})");
+    const Value stats = roundTrip(R"({"v":2,"type":"stats"})");
     const Value *body = stats.find("stats");
     ASSERT_NE(body, nullptr);
     EXPECT_EQ(body->find("shed_mode")->asString(), "reject");
@@ -608,11 +625,13 @@ TEST(Serve, FailedResultsSurviveRestartAsCachedFailures)
     cfg.storeDir = ::testing::TempDir() + "/hpe_warmfail_store";
     std::filesystem::remove_all(cfg.storeDir);
 
-    // Journal a failed computation directly (the daemon does this for
-    // experiments that throw), then boot a daemon over it.
+    // Journal a failed computation directly into the one shard (the
+    // daemon does this for experiments that throw), then boot a daemon
+    // over it.
+    std::filesystem::create_directories(cfg.storeDir);
     {
         ResultStoreConfig storeCfg;
-        storeCfg.dir = cfg.storeDir;
+        storeCfg.dir = cfg.storeDir + "/shard-0";
         ResultStore store(storeCfg);
         std::string error;
         ASSERT_TRUE(store.open(error)) << error;
@@ -651,7 +670,8 @@ TEST(Serve, StaleSocketIsReclaimedOnStart)
     // start() probes the socket, finds nobody home, reclaims the path.
     ASSERT_TRUE(server.start(error)) << error;
     std::string response, err;
-    EXPECT_TRUE(submitLine(path, R"({"type":"ping"})", response, err)) << err;
+    EXPECT_TRUE(submitLine(path, R"({"v":2,"type":"ping"})", response, err))
+        << err;
     server.stop();
 }
 
@@ -665,7 +685,7 @@ TEST(Serve, LiveDaemonSocketIsNeverStolen)
     EXPECT_FALSE(second.start(error));
     EXPECT_NE(error.find("bind"), std::string::npos);
     // The original daemon is untouched.
-    EXPECT_TRUE(ts.roundTrip(R"({"type":"ping"})").find("ok")->asBool());
+    EXPECT_TRUE(ts.roundTrip(R"({"v":2,"type":"ping"})").find("ok")->asBool());
 }
 
 } // namespace

@@ -1,20 +1,23 @@
 /**
  * @file
  * Tests for the networked, sharded face of hpe_serve: the endpoint
- * grammar, TCP listeners on ephemeral ports, the versioned wire
- * protocol (the pinned v1 shape and the structured v2 shape),
- * robustness against hostile or broken TCP clients (malformed frames,
- * oversized lines, slowloris senders, mid-request disconnects), the
- * fingerprint→shard routing property, and reshard-on-restart journal
+ * grammar, TCP listeners on ephemeral ports, the v2 wire protocol (and
+ * its refusal of retired v1 requests), robustness against hostile or
+ * broken TCP clients (malformed frames, oversized lines, slowloris
+ * senders, mid-request disconnects), the fingerprint→shard routing
+ * property, the store layout, and reshard-on-restart journal
  * migration.  (Single-socket daemon behaviour lives in test_serve.cpp;
  * the journal format in test_store.cpp.)
  */
 
 #include <gtest/gtest.h>
 
+#include <algorithm>
 #include <chrono>
 #include <cstddef>
 #include <filesystem>
+#include <fstream>
+#include <iterator>
 #include <map>
 #include <set>
 #include <string>
@@ -24,6 +27,7 @@
 #include <sys/socket.h>
 #include <unistd.h>
 
+#include "api/api.hpp"
 #include "api/json.hpp"
 #include "api/protocol.hpp"
 #include "serve/client.hpp"
@@ -85,11 +89,13 @@ TEST(EndpointGrammar, RejectsMalformedSpellings)
 struct NetServer
 {
     explicit NetServer(std::vector<std::string> listen, unsigned shards = 1,
-                       std::size_t maxQueue = 64)
+                       std::size_t maxQueue = 64,
+                       std::size_t maxLineBytes = ServeConfig{}.maxLineBytes)
     {
         cfg.listen = std::move(listen);
         cfg.shards = shards;
         cfg.maxQueue = maxQueue;
+        cfg.maxLineBytes = maxLineBytes;
         server = std::make_unique<Server>(cfg);
         std::string error;
         EXPECT_TRUE(server->start(error)) << error;
@@ -119,7 +125,7 @@ struct NetServer
     }
 
     /** Like roundTrip but returning the raw response bytes (for the
-     *  byte-for-byte v1 shape pins). */
+     *  byte-for-byte shape pins). */
     std::string
     rawRoundTrip(const std::string &request)
     {
@@ -140,18 +146,34 @@ tcpOnly()
     return {"tcp:127.0.0.1:0"};
 }
 
-/** A tiny run request (fast functional cell); seed varies the cell. */
+/** The request object of a tiny run (fast functional cell); seed
+ *  varies the cell. */
 std::string
-runRequest(std::uint64_t seed = 0, int version = 0)
+runBody(std::uint64_t seed = 0)
 {
-    std::string line = R"({"type":"run",)";
-    if (version != 0)
-        line += "\"v\":" + std::to_string(version) + ",";
-    line += R"("request":{"app":"STN","policy":"LRU","functional":true,)"
-            R"("scale":0.1,"trace_digest":true)";
+    std::string body = R"({"app":"STN","policy":"LRU","functional":true,)"
+                       R"("scale":0.1,"trace_digest":true)";
     if (seed != 0)
-        line += ",\"seed\":" + std::to_string(seed);
-    return line + "}}";
+        body += ",\"seed\":" + std::to_string(seed);
+    return body + "}";
+}
+
+/** A v2 run request line for runBody(@p seed). */
+std::string
+runRequest(std::uint64_t seed = 0)
+{
+    return R"({"v":2,"type":"run","request":)" + runBody(seed) + "}";
+}
+
+/** The structured error code of a failure response ("" if none). */
+std::string
+errorCode(const Value &response)
+{
+    const Value *error = response.find("error");
+    if (error == nullptr || !error->isObject())
+        return "";
+    const Value *code = error->find("code");
+    return code != nullptr && code->isString() ? code->asString() : "";
 }
 
 /** Blocking connect to @p endpointText; returns the raw fd (>= 0). */
@@ -195,7 +217,7 @@ TEST(ServeTcp, EphemeralPortRoundTripsPingAndRun)
     EXPECT_EQ(ts.endpoint().rfind("tcp:127.0.0.1:", 0), 0u);
     EXPECT_NE(ts.endpoint(), "tcp:127.0.0.1:0");
 
-    const Value pong = ts.roundTrip(R"({"type":"ping","id":"tcp"})");
+    const Value pong = ts.roundTrip(R"({"v":2,"type":"ping","id":"tcp"})");
     EXPECT_TRUE(pong.find("ok")->asBool());
     EXPECT_EQ(pong.find("id")->asString(), "tcp");
 
@@ -225,52 +247,12 @@ TEST(ServeTcp, MixedUnixAndTcpListenersShareOneCache)
     EXPECT_EQ(viaTcp.find("result")->dump(), viaUnix.find("result")->dump());
 
     // stats reports both bound endpoints, canonical spelling.
-    const Value stats = ts.roundTrip(R"({"type":"stats"})");
+    const Value stats = ts.roundTrip(R"({"v":2,"type":"stats"})");
     const Value *endpoints = stats.find("stats")->find("endpoints");
     ASSERT_NE(endpoints, nullptr);
     ASSERT_EQ(endpoints->asArray().size(), 2u);
     EXPECT_EQ(endpoints->asArray()[0].asString(), unixEp);
     EXPECT_EQ(endpoints->asArray()[1].asString(), tcpEp);
-}
-
-// ------------------------------------------------------- protocol v1 pins
-
-TEST(ProtocolV1, ResponsesNeverCarryVersionOrStructuredErrors)
-{
-    NetServer ts(tcpOnly());
-    // Success path: no "v" member on an unversioned request.
-    const Value pong = ts.roundTrip(R"({"type":"ping","id":"tag"})");
-    EXPECT_EQ(pong.find("v"), nullptr);
-    const Value run = ts.roundTrip(runRequest());
-    ASSERT_TRUE(run.find("ok")->asBool());
-    EXPECT_EQ(run.find("v"), nullptr);
-
-    // The v1 error shape is pinned byte for byte: a bare string
-    // "error", no version echo, and *no id echo* even when the
-    // request carried one — exactly what pre-v2 clients parse.
-    EXPECT_EQ(ts.rawRoundTrip(R"({"type":"transmogrify","id":"tag"})"),
-              R"x({"error":"unknown request type 'transmogrify' )x"
-              R"x((valid: run, stats, ping, shutdown)","ok":false})x");
-}
-
-TEST(ProtocolV1, ShedResponsesSpellRetryHintTopLevel)
-{
-    NetServer ts(tcpOnly(), 1, 1);
-    // Hold the only computation slot so a cold run request is shed.
-    const auto holder = ts.server->cache().acquire("held-slot");
-    ASSERT_EQ(holder.role, ResultCache::Role::Compute);
-
-    const Value shed = ts.roundTrip(runRequest());
-    EXPECT_FALSE(shed.find("ok")->asBool());
-    ASSERT_NE(shed.find("error"), nullptr);
-    EXPECT_TRUE(shed.find("error")->isString());
-    // v1 spells the backoff hint at the top level...
-    ASSERT_NE(shed.find("retry_after_ms"), nullptr);
-    EXPECT_GT(shed.find("retry_after_ms")->asUint(), 0u);
-    EXPECT_EQ(shed.find("v"), nullptr);
-    // ...and the version-blind accessor still finds it.
-    EXPECT_GT(protocol::retryAfterMs(shed).value_or(0), 0u);
-    ts.server->cache().complete(holder.entry, "freed");
 }
 
 // ------------------------------------------------------------ protocol v2
@@ -308,7 +290,7 @@ TEST(ProtocolV2, ErrorsAreStructuredObjectsWithCodeAndId)
     // Retryable failures nest the hint inside the error object — and
     // nowhere else.
     const auto holder = ts.server->cache().acquire("held-slot");
-    const Value shed = ts.roundTrip(runRequest(0, 2));
+    const Value shed = ts.roundTrip(runRequest());
     EXPECT_FALSE(shed.find("ok")->asBool());
     ASSERT_TRUE(shed.find("error")->isObject());
     EXPECT_GT(shed.find("error")->find("retry_after_ms")->asUint(), 0u);
@@ -335,25 +317,87 @@ TEST(ProtocolV2, UnsupportedVersionsAreRefusedInV2Shape)
     EXPECT_EQ(notANumber.find("error")->find("code")->asString(),
               protocol::kErrUnsupportedVersion);
 
-    // The daemon survived; v1 and v2 still speak.
-    EXPECT_TRUE(ts.roundTrip(R"({"type":"ping"})").find("ok")->asBool());
+    // Only the integer 2 is v2: no fraction or out-of-range double is
+    // truncated onto it.
+    for (const char *request : {R"({"v":2.5,"type":"ping"})",
+                                R"({"v":1e300,"type":"ping"})",
+                                R"({"v":-2,"type":"ping"})"}) {
+        const Value refused = ts.roundTrip(request);
+        EXPECT_FALSE(refused.find("ok")->asBool()) << request;
+        EXPECT_EQ(errorCode(refused), protocol::kErrUnsupportedVersion)
+            << request;
+    }
+
+    // The daemon survived and still speaks v2.
+    EXPECT_TRUE(ts.roundTrip(R"({"v":2,"type":"ping"})").find("ok")->asBool());
+}
+
+TEST(ProtocolV2, RetiredV1AndUnreadableLinesGetV2Errors)
+{
+    NetServer ts(tcpOnly(), 1, 64, 1024);
+    // A v1 request (no "v", or "v":1) is refused in v2 shape with its
+    // id echoed, and nothing is computed for it.
+    for (const std::string &v1 :
+         {std::string(R"({"type":"ping","id":"tag"})"),
+          R"({"v":1,"type":"run","id":"tag","request":)" + runBody() + "}"}) {
+        const Value refused = ts.roundTrip(v1);
+        EXPECT_FALSE(refused.find("ok")->asBool()) << v1;
+        EXPECT_EQ(refused.find("v")->asUint(), 2u) << v1;
+        EXPECT_EQ(refused.find("id")->asString(), "tag") << v1;
+        EXPECT_EQ(errorCode(refused), protocol::kErrUnsupportedVersion);
+        const std::string message = protocol::errorMessage(refused);
+        EXPECT_NE(message.find("retired"), std::string::npos) << message;
+        EXPECT_NE(message.find(R"(send "v":2)"), std::string::npos)
+            << message;
+    }
+    EXPECT_EQ(ts.server->cache().misses(), 0u);
+
+    // A line whose version cannot be read is answered in v2 shape too
+    // (no id: there is no envelope to take it from).
+    const Value garbage = ts.roundTrip("this is not json");
+    EXPECT_FALSE(garbage.find("ok")->asBool());
+    EXPECT_EQ(garbage.find("v")->asUint(), 2u);
+    EXPECT_EQ(garbage.find("id"), nullptr);
+    EXPECT_EQ(errorCode(garbage), protocol::kErrParse);
+
+    const int fd = rawConnect(ts.endpoint());
+    const std::string flood(2048, 'x'); // over the cap, no newline
+    ASSERT_EQ(::send(fd, flood.data(), flood.size(), MSG_NOSIGNAL),
+              static_cast<ssize_t>(flood.size()));
+    const auto oversized = api::json::parse(rawReadLine(fd));
+    ::close(fd);
+    ASSERT_TRUE(oversized.has_value());
+    EXPECT_FALSE(oversized->find("ok")->asBool());
+    EXPECT_EQ(oversized->find("v")->asUint(), 2u);
+    EXPECT_EQ(oversized->find("id"), nullptr);
+    EXPECT_EQ(errorCode(*oversized), protocol::kErrOversized);
 }
 
 TEST(ProtocolV2, VersionLivesOutsideTheFingerprint)
 {
     NetServer ts(tcpOnly());
-    const Value v1 = ts.roundTrip(runRequest());
-    ASSERT_TRUE(v1.find("ok")->asBool());
-    EXPECT_FALSE(v1.find("cached")->asBool());
+    const Value first = ts.roundTrip(runRequest());
+    ASSERT_TRUE(first.find("ok")->asBool());
+    EXPECT_FALSE(first.find("cached")->asBool());
+    // The fingerprint is the request object's alone: "v" rides the
+    // envelope beside id and deadline_ms.
+    std::string error;
+    const auto req = api::ExperimentRequest::fromJson(
+        api::json::parse(runBody()).value_or(Value{}), error);
+    ASSERT_TRUE(req.has_value()) << error;
+    EXPECT_EQ(first.find("fingerprint")->asString(), req->fingerprint());
 
-    // The same experiment asked for by a v2 client is a cache hit with
-    // identical bytes: "v" rides the envelope, never the fingerprint.
-    const Value v2 = ts.roundTrip(runRequest(0, 2));
-    ASSERT_TRUE(v2.find("ok")->asBool());
-    EXPECT_TRUE(v2.find("cached")->asBool());
-    EXPECT_EQ(v2.find("fingerprint")->asString(),
-              v1.find("fingerprint")->asString());
-    EXPECT_EQ(v2.find("result")->dump(), v1.find("result")->dump());
+    // The same experiment under a different envelope is a cache hit
+    // with identical bytes.
+    const Value second = ts.roundTrip(
+        R"({"v":2,"type":"run","id":"other","deadline_ms":60000,)"
+        R"("request":)"
+        + runBody() + "}");
+    ASSERT_TRUE(second.find("ok")->asBool());
+    EXPECT_TRUE(second.find("cached")->asBool());
+    EXPECT_EQ(second.find("fingerprint")->asString(),
+              first.find("fingerprint")->asString());
+    EXPECT_EQ(second.find("result")->dump(), first.find("result")->dump());
 }
 
 // --------------------------------------------- hostile / broken TCP peers
@@ -373,27 +417,23 @@ TEST(ServeTcpRobustness, MalformedFrameGetsErrorAndDaemonSurvives)
     const auto v = api::json::parse(response, &perr);
     ASSERT_TRUE(v.has_value()) << response;
     EXPECT_FALSE(v->find("ok")->asBool());
+    EXPECT_EQ(errorCode(*v), protocol::kErrParse);
     EXPECT_NE(protocol::errorMessage(*v).find("parse error"),
               std::string::npos);
     // Same connection keeps working after the bad frame...
-    const std::string ping = "{\"type\":\"ping\"}\n";
+    const std::string ping = "{\"v\":2,\"type\":\"ping\"}\n";
     ASSERT_EQ(::send(fd, ping.data(), ping.size(), MSG_NOSIGNAL),
               static_cast<ssize_t>(ping.size()));
     EXPECT_NE(rawReadLine(fd).find("pong"), std::string::npos);
     ::close(fd);
     // ...and so does the daemon.
-    EXPECT_TRUE(ts.roundTrip(R"({"type":"ping"})").find("ok")->asBool());
+    EXPECT_TRUE(ts.roundTrip(R"({"v":2,"type":"ping"})").find("ok")->asBool());
 }
 
 TEST(ServeTcpRobustness, OversizedLineIsRefusedAndConnectionClosed)
 {
-    NetServer ts(tcpOnly());
-    ts.server->stop();
-    // Rebuild with a tiny line cap so the test stays fast.
-    ts.cfg.maxLineBytes = 1024;
-    ts.server = std::make_unique<Server>(ts.cfg);
-    std::string error;
-    ASSERT_TRUE(ts.server->start(error)) << error;
+    // A tiny line cap keeps the test fast.
+    NetServer ts(tcpOnly(), 1, 64, 1024);
 
     const int fd = rawConnect(ts.endpoint());
     const std::string flood(8192, 'x'); // no newline anywhere
@@ -404,19 +444,20 @@ TEST(ServeTcpRobustness, OversizedLineIsRefusedAndConnectionClosed)
     const auto v = api::json::parse(response, &perr);
     ASSERT_TRUE(v.has_value()) << response;
     EXPECT_FALSE(v->find("ok")->asBool());
+    EXPECT_EQ(errorCode(*v), protocol::kErrOversized);
     EXPECT_NE(protocol::errorMessage(*v).find("exceeds 1024 bytes"),
               std::string::npos);
     // After the error the daemon hangs up: EOF, not a second response.
     EXPECT_EQ(rawReadLine(fd), "");
     ::close(fd);
-    EXPECT_TRUE(ts.roundTrip(R"({"type":"ping"})").find("ok")->asBool());
+    EXPECT_TRUE(ts.roundTrip(R"({"v":2,"type":"ping"})").find("ok")->asBool());
 }
 
 TEST(ServeTcpRobustness, SlowlorisByteAtATimeSenderStillGetsAnswered)
 {
     NetServer ts(tcpOnly());
     const int fd = rawConnect(ts.endpoint());
-    const std::string request = "{\"type\":\"ping\",\"id\":\"slow\"}\n";
+    const std::string request = "{\"v\":2,\"type\":\"ping\",\"id\":\"slow\"}\n";
     for (const char ch : request) {
         ASSERT_EQ(::send(fd, &ch, 1, MSG_NOSIGNAL), 1);
         std::this_thread::sleep_for(std::chrono::milliseconds(1));
@@ -432,7 +473,7 @@ TEST(ServeTcpRobustness, MidRequestDisconnectLeavesDaemonHealthy)
     NetServer ts(tcpOnly());
     // A client that dies mid-line: half a request, no newline, gone.
     int fd = rawConnect(ts.endpoint());
-    const std::string half = R"({"type":"run","request":{"app":)";
+    const std::string half = R"({"v":2,"type":"run","request":{"app":)";
     ASSERT_EQ(::send(fd, half.data(), half.size(), MSG_NOSIGNAL),
               static_cast<ssize_t>(half.size()));
     ::close(fd);
@@ -447,7 +488,7 @@ TEST(ServeTcpRobustness, MidRequestDisconnectLeavesDaemonHealthy)
 
     // The daemon answers the next client as if nothing happened, and
     // the abandoned computation still landed in the cache.
-    EXPECT_TRUE(ts.roundTrip(R"({"type":"ping"})").find("ok")->asBool());
+    EXPECT_TRUE(ts.roundTrip(R"({"v":2,"type":"ping"})").find("ok")->asBool());
     for (int i = 0; i < 200; ++i) {
         if (ts.server->cache().misses() >= 1
             && ts.server->cache().pending() == 0)
@@ -514,7 +555,7 @@ TEST(Sharding, StatsExposePerShardRowsBesideAggregates)
     ts.roundTrip(runRequest(1));
     ts.roundTrip(runRequest(1));
 
-    const Value stats = ts.roundTrip(R"({"type":"stats"})");
+    const Value stats = ts.roundTrip(R"({"v":2,"type":"stats"})");
     const Value *body = stats.find("stats");
     ASSERT_NE(body, nullptr);
     EXPECT_EQ(body->find("shard_count")->asUint(), 2u);
@@ -537,6 +578,92 @@ TEST(Sharding, StatsExposePerShardRowsBesideAggregates)
     EXPECT_NE(csv.find("serve.shard0.cache."), std::string::npos);
     EXPECT_NE(csv.find("serve.shard1.cache."), std::string::npos);
     EXPECT_NE(csv.find("serve.shards,1,2"), std::string::npos);
+}
+
+/** Names in @p dir, sorted. */
+std::vector<std::string>
+dirNames(const std::string &dir)
+{
+    std::vector<std::string> names;
+    for (const auto &entry : std::filesystem::directory_iterator(dir))
+        names.push_back(entry.path().filename().string());
+    std::sort(names.begin(), names.end());
+    return names;
+}
+
+std::string
+fileBytes(const std::string &path)
+{
+    std::ifstream in(path, std::ios::binary);
+    return std::string(std::istreambuf_iterator<char>(in), {});
+}
+
+TEST(Sharding, OneShardStoreWritesSegmentsOnlyUnderShardZero)
+{
+    ResultStoreConfig cfg;
+    cfg.dir = ::testing::TempDir() + "/hpe_one_shard_store";
+    std::filesystem::remove_all(cfg.dir);
+    {
+        ShardedResultStore store(cfg, 1);
+        std::string error;
+        ASSERT_TRUE(store.open(error)) << error;
+        store.append("fp-a", R"({"x":1})", false);
+        store.append("fp-b", R"({"x":2})", false);
+        store.appendTombstone("fp-a");
+    }
+    // Nothing in the root but the lock and the one shard: even a
+    // single-shard store never writes the unsharded layout.
+    EXPECT_EQ(dirNames(cfg.dir),
+              (std::vector<std::string>{"LOCK", "shard-0"}));
+    std::size_t segments = 0;
+    for (const std::string &name : dirNames(cfg.dir + "/shard-0"))
+        segments += name.rfind("journal-", 0) == 0 ? 1 : 0;
+    EXPECT_GE(segments, 1u);
+}
+
+TEST(Sharding, UnshardedRootJournalIsRefusedUntouched)
+{
+    ResultStoreConfig cfg;
+    cfg.dir = ::testing::TempDir() + "/hpe_unsharded_store";
+    std::filesystem::remove_all(cfg.dir);
+    {
+        // A bare ResultStore on the root writes the retired layout.
+        ResultStore rootStore(cfg);
+        std::string error;
+        ASSERT_TRUE(rootStore.open(error)) << error;
+        rootStore.append("fp-old", R"({"x":1})", false);
+    }
+    std::string segment;
+    for (const std::string &name : dirNames(cfg.dir))
+        if (name.rfind("journal-", 0) == 0)
+            segment = name;
+    ASSERT_FALSE(segment.empty());
+    const std::string before = fileBytes(cfg.dir + "/" + segment);
+    ASSERT_FALSE(before.empty());
+
+    std::string error;
+    {
+        ShardedResultStore store(cfg, 2);
+        EXPECT_FALSE(store.open(error));
+    }
+    EXPECT_NE(error.find("'" + cfg.dir + "'"), std::string::npos) << error;
+    EXPECT_NE(error.find("unsharded layout is no longer read"),
+              std::string::npos)
+        << error;
+    // Durable bytes are never dropped: the segment is exactly as it
+    // was, and no shard directory was created beside it.
+    EXPECT_EQ(fileBytes(cfg.dir + "/" + segment), before);
+    EXPECT_EQ(dirNames(cfg.dir), (std::vector<std::string>{"LOCK", segment}));
+
+    // The recovery the message names works: moved into an empty
+    // shard-0/, the record is read back (and re-homed if need be).
+    std::filesystem::create_directory(cfg.dir + "/shard-0");
+    std::filesystem::rename(cfg.dir + "/" + segment,
+                            cfg.dir + "/shard-0/" + segment);
+    ShardedResultStore store(cfg, 2);
+    ASSERT_TRUE(store.open(error)) << error;
+    ASSERT_EQ(store.recovered().size(), 1u);
+    EXPECT_EQ(store.recovered().front().fingerprint, "fp-old");
 }
 
 TEST(Sharding, ReshardRestartRecoversEveryFrame)

@@ -8,7 +8,9 @@
 #   4. a restarted daemon over the same --store-dir serves the cell as a
 #      warm cache hit with the same digest (durability),
 #   5. a sharded daemon on an ephemeral TCP port (tcp:127.0.0.1:0,
-#      discovered via --endpoint-file) serves the same digest over TCP.
+#      discovered via --endpoint-file) serves the same digest over TCP,
+#   6. that daemon refuses an unversioned (retired v1) request with
+#      "code":"unsupported_version".
 #
 # Usage: tools/daemon_smoke.sh [path-to-hpe_sim]   (default: build/tools/hpe_sim)
 set -euo pipefail
@@ -94,8 +96,8 @@ SERVE_PID=""
 
 # 5. TCP leg: a 2-shard daemon on an ephemeral port answers the same
 # golden cell over TCP, byte-identical to the Unix-socket bytes.  The
-# warm store from step 4 rides along, so this is also a sharding
-# migration of the legacy journal (1 shard -> 2).
+# warm store from step 4 rides along, so this is also a 1 -> 2 reshard
+# of its shard-0/ journal.
 EPFILE="$TMPDIR_SMOKE/endpoint"
 "$HPE_SIM" serve --listen tcp:127.0.0.1:0 --shards 2 \
     --store-dir "$STORE" --endpoint-file "$EPFILE" &
@@ -116,9 +118,20 @@ echo "$tcp" | grep -q "\"trace_digest\":\"$digest\"" \
     || fail "tcp digest differs: $tcp"
 stats="$("$HPE_SIM" submit --socket "$ENDPOINT" --type stats)"
 echo "$stats" | grep -q '"shard_count":2' || fail "expected 2 shards: $stats"
+
+# 6. Retired v1 envelope, end to end: a raw unversioned ping over bash's
+# /dev/tcp gets the v2 unsupported_version error.
+HOSTPORT="${ENDPOINT#tcp:}"
+exec 3<>"/dev/tcp/${HOSTPORT%:*}/${HOSTPORT##*:}" \
+    || fail "cannot connect to $ENDPOINT"
+printf '{"type":"ping"}\n' >&3
+read -r -t 10 v1 <&3 || fail "no answer to the unversioned ping"
+exec 3<&-
+echo "$v1" | grep -q '"code":"unsupported_version"' \
+    || fail "unversioned ping was not refused: $v1"
 "$HPE_SIM" submit --socket "$ENDPOINT" --type shutdown >/dev/null
 wait "$SERVE_PID" || fail "tcp daemon exited non-zero"
 SERVE_PID=""
 
 echo "daemon smoke: digest match, cache hit, clean shutdown," \
-     "warm restart, tcp leg served golden digest"
+     "warm restart, tcp leg served golden digest, v1 refused"
